@@ -16,18 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InfeasibleError, IterationLimitError, ValidationError
-from .lad import UtilityVector, derive_weights, evaluate_objective
+from .group import convex_weights, weighted_sum
+from .lad import UtilityVector, _validate_sigma, derive_weights, evaluate_objective
 from .relations import TrMPR, to_additive
-from .trfn import (
-    DEFAULT_MAG_WEIGHTS,
-    MagWeights,
-    Ranking,
-    TrFN,
-    add,
-    magnitude,
-    rank,
-)
+from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, magnitude, rank
 
 __all__ = ["AhpProblem", "AhpResult", "run_ahp", "amm_weights", "gmm_weights", "deviation"]
 
@@ -42,9 +37,8 @@ class AhpProblem:
     mag_weights: MagWeights = DEFAULT_MAG_WEIGHTS
 
     def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.criteria_weights)
+        weights = tuple(self.criteria_weights)
         matrices = tuple(self.matrices)
-        object.__setattr__(self, "criteria_weights", weights)
         object.__setattr__(self, "matrices", matrices)
         if not matrices:
             raise ValidationError("an AHP problem needs at least one criterion")
@@ -52,11 +46,7 @@ class AhpProblem:
             raise ValidationError(
                 f"got {len(weights)} criteria weights for {len(matrices)} matrices"
             )
-        for k, w in enumerate(weights):
-            if w < 0.0:
-                raise ValidationError(f"criterion weight {k + 1} is negative: {w}")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValidationError(f"criteria weights must sum to 1, got {sum(weights)}")
+        object.__setattr__(self, "criteria_weights", convex_weights(weights, "criteria weights"))
         first = matrices[0]
         for k, y in enumerate(matrices):
             if not isinstance(y, TrMPR):
@@ -71,8 +61,7 @@ class AhpProblem:
                 raise ValidationError(
                     f"criterion {k + 1} uses a different scale or neutral element"
                 )
-        if not isinstance(self.sigma, TrFN) or self.sigma.a <= 0.0:
-            raise ValidationError("the total-utility target must be a positive trapezoid")
+        _validate_sigma(self.sigma)
 
     @property
     def n(self) -> int:
@@ -101,15 +90,9 @@ def run_ahp(problem: AhpProblem) -> AhpResult:
             local.append(derive_weights(y, problem.sigma))
         except (InfeasibleError, IterationLimitError) as exc:
             raise type(exc)(f"criterion {k + 1}: {exc}") from exc
-    n = problem.n
-    global_weights = []
-    for i in range(n):
-        comps = [0.0, 0.0, 0.0, 0.0]
-        for w, vec in zip(problem.criteria_weights, local):
-            for idx, v in enumerate(vec.utilities[i].components):
-                comps[idx] += w * v
-        global_weights.append(TrFN(*comps))
-    global_weights = tuple(global_weights)
+    parts = [np.array([t.components for t in vec.utilities]) for vec in local]
+    combined = weighted_sum(problem.criteria_weights, parts)
+    global_weights = tuple(TrFN(*row) for row in combined.tolist())
     mags = tuple(magnitude(t, problem.mag_weights) for t in global_weights)
     ranking = rank(global_weights, problem.mag_weights)
     return AhpResult(
@@ -121,42 +104,25 @@ def run_ahp(problem: AhpProblem) -> AhpResult:
     )
 
 
-def _divide(t1: TrFN, t2: TrFN) -> TrFN:
-    # Fuzzy division of positive trapezoids: numerator components meet the
-    # mirrored denominator, widening the result.
-    return TrFN(t1.a / t2.d, t1.b / t2.c, t1.c / t2.b, t1.d / t2.a)
+def _normalize(parts: np.ndarray) -> tuple[TrFN, ...]:
+    # Fuzzy division of each positive trapezoid by the running total of all
+    # of them: numerator components meet the mirrored denominator, widening
+    # the result.
+    total = np.cumsum(parts, axis=0)[-1]
+    return tuple(TrFN(*row) for row in (parts / total[::-1]).tolist())
 
 
 def amm_weights(y: TrMPR) -> tuple[TrFN, ...]:
     """Arithmetic-mean weights: fuzzy row sums over their grand total."""
-    row_sums = []
-    for row in y.entries:
-        total = row[0]
-        for entry in row[1:]:
-            total = add(total, entry)
-        row_sums.append(total)
-    grand = row_sums[0]
-    for t in row_sums[1:]:
-        grand = add(grand, t)
-    return tuple(_divide(t, grand) for t in row_sums)
+    return _normalize(np.cumsum(y.array, axis=1)[:, -1])
 
 
 def gmm_weights(y: TrMPR) -> tuple[TrFN, ...]:
     """Geometric-mean weights: componentwise row geomeans over their total."""
-    n = y.n
-    means = []
-    for row in y.entries:
-        comps = []
-        for idx in range(4):
-            product = 1.0
-            for entry in row:
-                product *= entry.components[idx]
-            comps.append(product ** (1.0 / n))
-        means.append(TrFN(*comps))
-    grand = means[0]
-    for t in means[1:]:
-        grand = add(grand, t)
-    return tuple(_divide(t, grand) for t in means)
+    products = np.cumprod(y.array, axis=1)[:, -1].tolist()
+    # Python's ``**`` on each component, not numpy's power, which can round
+    # differently.
+    return _normalize(np.array([[p ** (1.0 / y.n) for p in row] for row in products]))
 
 
 def deviation(y: TrMPR, weights: tuple[TrFN, ...]) -> float:

@@ -12,6 +12,7 @@ optimization model is infeasible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -46,8 +47,9 @@ def _parse_sigma(text: str) -> TrFN:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValidationError("--sigma expects four comma-separated components")
+    comps = [parse_scalar(p, "--sigma") for p in parts]
     try:
-        return TrFN(*(parse_scalar(p, "--sigma") for p in parts))
+        return TrFN(*comps)
     except ValidationError as exc:
         raise ValidationError(f"--sigma: {exc}") from exc
 
@@ -71,6 +73,14 @@ def _resolve_sigma(args, problem: LoadedProblem) -> TrFN | None:
     if getattr(args, "sigma", None) is not None:
         return _parse_sigma(args.sigma)
     return problem.sigma
+
+
+def _require_sigma(sigma: TrFN | None) -> TrFN:
+    if sigma is None:
+        raise ValidationError(
+            "a total-utility target is required: pass --sigma or add a sigma field"
+        )
+    return sigma
 
 
 def _print_json(payload: dict) -> None:
@@ -140,14 +150,10 @@ def cmd_consistency(args) -> int:
 
 
 def _derive_for_file(problem: LoadedProblem, model: Model, sigma: TrFN | None) -> UtilityVector:
-    needs_sigma = model in (Model.PSIGMA, Model.QSIGMA)
-    if needs_sigma and sigma is None:
-        raise ValidationError(
-            "a total-utility target is required: pass --sigma or add a sigma field"
-        )
+    sigma = _require_sigma(sigma) if model in (Model.PSIGMA, Model.QSIGMA) else None
     if problem.kind == "additive":
-        return derive_utility(problem.relation, model, sigma if needs_sigma else None)
-    if model in (Model.PSIGMA, Model.QSIGMA):
+        return derive_utility(problem.relation, model, sigma)
+    if sigma is not None:
         return derive_weights(problem.relation, sigma)
     return derive_utility(to_additive(problem.relation), model)
 
@@ -200,11 +206,7 @@ def cmd_ahp(args) -> int:
     problem = load_problem(args.file)
     if problem.kind != "ahp":
         raise ValidationError("ahp expects a file of kind ahp")
-    sigma = _resolve_sigma(args, problem)
-    if sigma is None:
-        raise ValidationError(
-            "a total-utility target is required: pass --sigma or add a sigma field"
-        )
+    sigma = _require_sigma(_resolve_sigma(args, problem))
     mag_weights = _resolve_mag_weights(args, problem)
     hierarchy = AhpProblem(problem.criteria_weights, problem.matrices, sigma, mag_weights)
     result = run_ahp(hierarchy)
@@ -268,6 +270,7 @@ def cmd_convert(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
@@ -321,8 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

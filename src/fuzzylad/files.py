@@ -7,7 +7,11 @@ A problem file is a JSON object with a ``kind`` of ``additive``,
 binary floating point once, which keeps scale values such as ninth roots
 exact to the last ulp instead of accumulating decimal-literal error.
 
-Field summary (see docs/file-format.md for the schema):
+Non-finite values (NaN, infinities, overflowing powers such as
+``"9^1000"``) and complex results such as ``"-8^0.5"`` are rejected with
+the name of the field.
+
+Field summary (the README's "Problem files" section has the full table):
 
 * common: ``kind``, ``n``, ``neutral``; optional ``sigma``,
   ``mag_weights``.
@@ -19,11 +23,14 @@ Field summary (see docs/file-format.md for the schema):
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
+from .group import convex_weights
 from .relations import NeutralElement, TrFPR, TrMPR
 from .trfn import MagWeights, TrFN
 
@@ -48,23 +55,31 @@ class LoadedProblem:
 
 
 def parse_scalar(value, where: str) -> float:
-    """Parse one numeric component: number, ``"p/q"`` or ``"base^exp"``."""
+    """Parse one numeric component: number, ``"p/q"`` or ``"base^exp"``.
+
+    Anything that does not evaluate to a number, overflow included, raises
+    ParseError; NaN, infinities and complex results raise ValidationError.
+    Both messages start with ``where``.
+    """
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            if "^" in text:
-                base_text, _, exp_text = text.partition("^")
-                return float(base_text) ** float(exp_text)
-            if "/" in text:
-                return float(Fraction(text))
-            return float(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: cannot parse {value!r} as a number") from exc
-    raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
+    if not isinstance(value, (int, float, str)):
+        raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        if not isinstance(value, str):
+            result = float(value)
+        elif "^" in value:
+            base_text, _, exp_text = value.partition("^")
+            result = float(base_text) ** float(exp_text)
+        elif "/" in value:
+            result = float(Fraction(value))
+        else:
+            result = float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParseError(f"{where}: cannot parse {value!r} as a number") from exc
+    if not isinstance(result, float) or not math.isfinite(result):
+        raise ValidationError(f"{where}: {value!r} is not a finite real number")
+    return result
 
 
 def _parse_trfn(value, where: str) -> TrFN:
@@ -134,10 +149,9 @@ def load_problem(path) -> LoadedProblem:
         raw = data["mag_weights"]
         if not isinstance(raw, list) or len(raw) != 2:
             raise ParseError("mag_weights: expected a 2-element array [w1, w2]")
+        w1, w2 = (parse_scalar(w, "mag_weights") for w in raw)
         try:
-            mag_weights = MagWeights(
-                parse_scalar(raw[0], "mag_weights"), parse_scalar(raw[1], "mag_weights")
-            )
+            mag_weights = MagWeights(w1, w2)
         except ValidationError as exc:
             raise ValidationError(f"mag_weights: {exc}") from exc
 
@@ -174,16 +188,10 @@ def load_problem(path) -> LoadedProblem:
             raw_weights = _require(data, "criteria_weights")
             if not isinstance(raw_weights, list) or len(raw_weights) != len(matrices):
                 raise ParseError("criteria_weights: expected one weight per matrix")
-            criteria_weights = tuple(
-                parse_scalar(w, f"criteria_weights[{k}]") for k, w in enumerate(raw_weights)
+            criteria_weights = convex_weights(
+                [parse_scalar(w, f"criteria_weights[{k}]") for k, w in enumerate(raw_weights)],
+                "criteria_weights",
             )
-            for k, w in enumerate(criteria_weights):
-                if w < 0.0:
-                    raise ValidationError(f"criteria_weights[{k}]: negative weight {w}")
-            if abs(sum(criteria_weights) - 1.0) > 1e-12:
-                raise ValidationError(
-                    f"criteria_weights must sum to 1, got {sum(criteria_weights)}"
-                )
     return LoadedProblem(
         kind=kind,
         n=n,
@@ -206,12 +214,23 @@ def relation_to_dict(relation: TrFPR | TrMPR) -> dict:
     else:
         raise ValidationError("only additive and multiplicative relations can be serialized")
     head["neutral"] = list(relation.neutral.value.components)
-    head["matrix"] = [
-        [list(entry.components) for entry in row] for row in relation.entries
-    ]
+    head["matrix"] = relation.array.tolist()
     return head
 
 
 def save_problem(path, relation: TrFPR | TrMPR) -> None:
-    """Write a relation as a problem file (full float precision)."""
-    Path(path).write_text(json.dumps(relation_to_dict(relation), indent=2) + "\n")
+    """Write a relation as a problem file (full float precision).
+
+    The text goes to a temporary file beside ``path`` that then replaces
+    it, so an interrupted write never leaves a truncated file at ``path``.
+    """
+    path = Path(path)
+    text = json.dumps(relation_to_dict(relation), indent=2) + "\n"
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "x") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise

@@ -18,14 +18,38 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .lad import Model, UtilityVector, derive_utility, evaluate_objective
 from .relations import TrFPR
-from .trfn import TrFN, negate
+from .trfn import TrFN
 
 __all__ = ["GroupWeights", "BoundsReport", "aggregate_relations", "aggregate_utilities", "verify_bounds"]
 
 BOUND_SLACK = 1e-7
+
+
+def convex_weights(values: Sequence[float], name: str) -> tuple[float, ...]:
+    """``values`` as floats, checked to be finite, non-negative and to sum to 1."""
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise ValidationError(f"{name} cannot be empty")
+    for k, w in enumerate(values):
+        if not math.isfinite(w) or w < 0.0:
+            raise ValidationError(f"{name}: weight {k + 1} must be a non-negative real, got {w}")
+    total = sum(values)
+    if abs(total - 1.0) > 1e-12:
+        raise ValidationError(f"{name} must sum to 1, got {total}")
+    return values
+
+
+def weighted_sum(weights: Sequence[float], arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum_k weights[k] * arrays[k]``, accumulated in order from zero."""
+    total = np.zeros_like(arrays[0])
+    for w, part in zip(weights, arrays):
+        total = total + w * part
+    return total
 
 
 @dataclass(frozen=True)
@@ -35,30 +59,13 @@ class GroupWeights:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if not values:
-            raise ValidationError("group weights cannot be empty")
-        for k, w in enumerate(values):
-            if not math.isfinite(w) or w < 0.0:
-                raise ValidationError(f"weight {k + 1} must be a non-negative real, got {w}")
-        total = sum(values)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"group weights must sum to 1, got {total}")
+        object.__setattr__(self, "values", convex_weights(self.values, "group weights"))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __iter__(self):
         return iter(self.values)
-
-
-def _combine(weights: GroupWeights, parts: Sequence[TrFN]) -> TrFN:
-    comps = [0.0, 0.0, 0.0, 0.0]
-    for w, part in zip(weights, parts):
-        for idx, v in enumerate(part.components):
-            comps[idx] += w * v
-    return TrFN(*comps)
 
 
 def aggregate_relations(relations: Sequence[TrFPR], weights: GroupWeights) -> TrFPR:
@@ -82,15 +89,8 @@ def aggregate_relations(relations: Sequence[TrFPR], weights: GroupWeights) -> Tr
                 f"relation {e + 1} uses neutral element {rel.neutral.value}, "
                 f"expected {first.neutral.value}"
             )
-    n = first.n
-    grid: list[list[TrFN | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = first.neutral.value
-        for j in range(i + 1, n):
-            combined = _combine(weights, tuple(rel.entries[i][j] for rel in relations))
-            grid[i][j] = combined
-            grid[j][i] = negate(combined)
-    return TrFPR(tuple(tuple(row) for row in grid), first.neutral)
+    combined = weighted_sum(weights, [rel.array for rel in relations])
+    return TrFPR.from_upper(combined, first.neutral)
 
 
 def aggregate_utilities(
@@ -109,9 +109,8 @@ def aggregate_utilities(
     for e, vec in enumerate(vectors):
         if vec.n != n:
             raise ValidationError(f"vector {e + 1} has length {vec.n}, expected {n}")
-    combined = tuple(
-        _combine(weights, tuple(vec.utilities[i] for vec in vectors)) for i in range(n)
-    )
+    parts = [np.array([u.components for u in vec.utilities]) for vec in vectors]
+    combined = tuple(TrFN(*row) for row in weighted_sum(weights, parts).tolist())
     objective = evaluate_objective(matrix, combined)
     return UtilityVector(combined, objective, vectors[0].model)
 

@@ -33,11 +33,12 @@ from .relations import (
     DEFAULT_CONSISTENCY_TOL,
     TrFPR,
     TrMPR,
+    _distance,
     check_consistency,
     to_additive,
 )
 from .simplex import LinearProgram, LpStatus, solve
-from .trfn import TrFN, add, crisp, distance, negate
+from .trfn import TrFN, add, crisp
 
 __all__ = [
     "Model",
@@ -112,13 +113,11 @@ def evaluate_objective(x: TrFPR, utilities: Sequence[TrFN]) -> float:
     utilities = tuple(utilities)
     if len(utilities) != x.n:
         raise ValidationError(f"expected {x.n} utilities, got {len(utilities)}")
-    t0 = x.neutral.value
-    mirrored = tuple(negate(u) for u in utilities)
-    total = 0.0
-    for i in range(x.n):
-        for j in range(x.n):
-            total += distance(add(x.entries[i][j], t0), add(utilities[i], mirrored[j]))
-    return total
+    u = np.array([t.components for t in utilities])
+    rebuilt = u[:, None, :] + (1.0 - u[None, :, ::-1])
+    cells = _distance(x.array + np.array(x.neutral.value.components), rebuilt)
+    # A running sum keeps the row-major, left-to-right order of the total.
+    return float(np.cumsum(cells)[-1])
 
 
 def _validate_sigma(sigma: TrFN) -> None:
@@ -151,74 +150,58 @@ def build_lp(x: TrFPR, model: Model, sigma: TrFN | None = None) -> LinearProgram
     n = x.n
     nu = 4 * n
     nv = 4 * n * n
-    t0 = x.neutral.value
-
-    def u_var(k: int, comp: int) -> int:
-        return 4 * k + comp
-
-    def v_var(i: int, j: int, comp: int) -> int:
-        return nu + 4 * (i * n + j) + comp
-
     c = np.zeros(nu + nv)
     c[nu:] = 0.25
 
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            cell = x.entries[i][j].components
-            for comp in range(4):
-                # Deviation between cell + t0 and u_i + negate(u_j); the
-                # negation mirrors components a <-> d and b <-> c.
-                constant = cell[comp] + t0.components[comp] - 1.0
-                mirror = 3 - comp
-                for sign in (1.0, -1.0):
-                    row = np.zeros(nu + nv)
-                    row[u_var(i, comp)] = -sign
-                    row[u_var(j, mirror)] = sign
-                    row[v_var(i, j, comp)] = -1.0
-                    rows.append(row)
-                    rhs.append(-sign * constant)
-    for k in range(n):
-        for comp in range(3):
-            row = np.zeros(nu + nv)
-            row[u_var(k, comp)] = 1.0
-            row[u_var(k, comp + 1)] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    a_ub = np.vstack(rows)
-    b_ub = np.asarray(rhs)
+    # Row 2 * (4 * (i * n + j) + comp) + s bounds the deviation of cell
+    # (i, j) component comp from above (s = 0) or below (s = 1): cell + t0
+    # against u_i + negate(u_j), where negation mirrors a <-> d and b <-> c.
+    i, j, comp, s = np.indices((n, n, 4, 2)).reshape(4, -1)
+    sign = 1.0 - 2.0 * s
+    rows = np.arange(8 * n * n)
+    a_ub = np.zeros((8 * n * n + 3 * n, nu + nv))
+    a_ub[rows, 4 * i + comp] = -sign
+    a_ub[rows, 4 * j + 3 - comp] = sign
+    a_ub[rows, nu + 4 * (i * n + j) + comp] = -1.0
+    b_ub = np.zeros(len(a_ub))
+    constant = x.array + np.array(x.neutral.value.components) - 1.0
+    b_ub[rows] = -sign * constant[i, j, comp]
+    # Then the ordering chain u_k[comp] <= u_k[comp + 1] per alternative.
+    k, comp = np.indices((n, 3)).reshape(2, -1)
+    rows = 8 * n * n + np.arange(3 * n)
+    a_ub[rows, 4 * k + comp] = 1.0
+    a_ub[rows, 4 * k + comp + 1] = -1.0
 
     if model is Model.PSIGMA:
-        eq_rows = np.zeros((4, nu + nv))
-        eq_rhs = np.empty(4)
-        for comp in range(4):
-            for k in range(n):
-                eq_rows[comp, u_var(k, comp)] = 1.0
-            eq_rhs[comp] = sigma.components[comp]
-        a_eq, b_eq = eq_rows, eq_rhs
+        k, comp = np.indices((n, 4)).reshape(2, -1)
+        a_eq = np.zeros((4, nu + nv))
+        a_eq[comp, 4 * k + comp] = 1.0
+        b_eq = np.array(sigma.components)
     else:
         a_eq, b_eq = np.zeros((0, nu + nv)), np.zeros(0)
 
-    bounds: list[tuple[float, float]] = []
-    for _ in range(n):
-        lower_a = 0.0 if model in (Model.P, Model.PUNIT, Model.PSIGMA) else -np.inf
-        upper_d = 1.0 if model is Model.PUNIT else np.inf
-        bounds.append((lower_a, np.inf))      # component a
-        bounds.append((-np.inf, np.inf))      # component b
-        bounds.append((-np.inf, np.inf))      # component c
-        bounds.append((-np.inf, upper_d))     # component d
-    bounds.extend((0.0, np.inf) for _ in range(nv))
-    return LinearProgram(c, a_ub, b_ub, a_eq, b_eq, tuple(bounds))
+    lower_a = 0.0 if model in (Model.P, Model.PUNIT, Model.PSIGMA) else -np.inf
+    upper_d = 1.0 if model is Model.PUNIT else np.inf
+    utility = ((lower_a, np.inf), (-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, upper_d))
+    bounds = utility * n + ((0.0, np.inf),) * nv
+    return LinearProgram(c, a_ub, b_ub, a_eq, b_eq, bounds)
+
+
+def _snap(values: np.ndarray) -> np.ndarray:
+    """Snap components within ``_SNAP_TOL`` of 0 or 1 onto them exactly.
+
+    Earlier float work leaves dust such as ±1e-12 around 0 and 1; utilities
+    of the bounded models must come out exactly inside their bounds.
+    """
+    values = np.where(np.abs(values) < _SNAP_TOL, 0.0, values)
+    return np.where(np.abs(values - 1.0) < _SNAP_TOL, 1.0, values)
 
 
 def _extract_utilities(x_arr: np.ndarray, n: int, model: Model) -> tuple[TrFN, ...]:
-    comps = x_arr[: 4 * n].reshape(n, 4).copy()
+    comps = x_arr[: 4 * n].reshape(n, 4)
     if np.max(comps[:, :-1] - comps[:, 1:]) > 1e-8:
         raise ArithmeticError("solver returned strongly unordered utility components")
-    comps[np.abs(comps) < _SNAP_TOL] = 0.0
-    comps[np.abs(comps - 1.0) < _SNAP_TOL] = 1.0
-    comps = np.maximum.accumulate(comps, axis=1)
+    comps = np.maximum.accumulate(_snap(comps), axis=1)
     if model in (Model.P, Model.PSIGMA, Model.QSIGMA, Model.PUNIT):
         comps = np.maximum(comps, 0.0)
     if model is Model.PUNIT:
@@ -307,15 +290,6 @@ def fast_path_consistent(
             f"fast path needs a consistent relation; {report.describe()}"
         )
 
-    def snap(t: TrFN) -> TrFN:
-        # Entries may carry ±1e-12 dust around 0 from earlier float work;
-        # model P utilities must be exactly non-negative.
-        comps = tuple(
-            0.0 if abs(v) < _SNAP_TOL else 1.0 if abs(v - 1.0) < _SNAP_TOL else v
-            for v in t
-        )
-        return t if comps == t.components else TrFN(*comps)
-
-    utilities = tuple(snap(x.entries[i][k]) for i in range(x.n))
+    utilities = tuple(TrFN(*row) for row in _snap(x.array[:, k]).tolist())
     objective = evaluate_objective(x, utilities)
     return UtilityVector(utilities, objective, Model.P)

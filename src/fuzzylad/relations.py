@@ -13,6 +13,9 @@ The exponential map ``phi`` and its inverse translate between the two
 forms and preserve reciprocity, neutrality, and transitivity, so either
 side can be checked or solved and the verdict carries over.
 
+A relation is stored as one read-only ``(n, n, 4)`` float64 array holding
+``x_ij`` as ``[a, b, c, d]`` at cell ``(i, j)``; ``entries`` views it as TrFNs.
+
 Index conventions: matrix positions are 0-based throughout the API, while
 error messages and reports quote 1-based coordinates, which is how the
 alternatives are labelled in CLI output.
@@ -22,10 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .errors import OutOfUnitIntervalError, ValidationError
-from .trfn import TrFN, add, distance, invert, mul, negate
+from .trfn import TrFN
 
 __all__ = [
     "NeutralElement",
@@ -58,12 +64,35 @@ MULTIPLICATIVE_RTOL = 1e-9
 DEFAULT_CONSISTENCY_TOL = 1e-9
 
 
-def _close_abs(u: float, v: float) -> bool:
-    return abs(u - v) <= ADDITIVE_TOL
+def _close_abs(u, v):
+    return np.abs(u - v) <= ADDITIVE_TOL
 
 
-def _close_rel(u: float, v: float) -> bool:
-    return abs(u - v) <= MULTIPLICATIVE_RTOL * max(1.0, abs(u), abs(v))
+def _close_rel(u, v):
+    return np.abs(u - v) <= MULTIPLICATIVE_RTOL * np.maximum(np.maximum(1.0, np.abs(u)), np.abs(v))
+
+
+def _bounds(scale: int | None) -> tuple[float, float, str]:
+    """Entry range with its rounding band: ``[0, 1]``, or ``[1/m, m]`` for a scale."""
+    if scale is None:
+        return -ADDITIVE_TOL, 1.0 + ADDITIVE_TOL, "[0, 1]"
+    lo, hi = 1.0 / float(scale), float(scale)
+    return lo * (1.0 - MULTIPLICATIVE_RTOL), hi * (1.0 + MULTIPLICATIVE_RTOL), f"[1/{scale}, {scale}]"
+
+
+def _distance(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """``trfn.distance`` over the last axis, summed in the same order."""
+    d = np.abs(t1 - t2)
+    return (d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]) / 4.0
+
+
+def _upper(n: int) -> np.ndarray:
+    return np.arange(n)[:, None] < np.arange(n)
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first true element of ``mask`` in row-major order."""
+    return tuple(np.argwhere(mask)[0].tolist()) if mask.any() else None
 
 
 @dataclass(frozen=True)
@@ -98,9 +127,9 @@ class NeutralElement:
                 raise ValidationError(f"scale must be an integer >= 2, got {self.scale}")
             if t.a <= 0.0:
                 raise ValidationError(f"multiplicative neutral element {t} must be positive")
-            m = float(self.scale)
-            if t.a < (1.0 / m) * (1.0 - MULTIPLICATIVE_RTOL) or t.d > m * (1.0 + MULTIPLICATIVE_RTOL):
-                raise ValidationError(f"neutral element {t} leaves [1/{self.scale}, {self.scale}]")
+            lo, hi, span = _bounds(self.scale)
+            if t.a < lo or t.d > hi:
+                raise ValidationError(f"neutral element {t} leaves {span}")
             if not (_close_rel(t.a * t.d, 1.0) and _close_rel(t.b * t.c, 1.0)):
                 raise ValidationError(
                     f"neutral element {t} is not a fixed point of inversion "
@@ -118,110 +147,115 @@ class NeutralElement:
         return cls(value, "multiplicative", scale)
 
 
-def _as_matrix(entries: Sequence[Sequence[TrFN]]) -> tuple[tuple[TrFN, ...], ...]:
-    rows = tuple(tuple(row) for row in entries)
-    n = len(rows)
-    if n == 0:
-        raise ValidationError("a preference relation needs at least one alternative")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValidationError(f"row {i + 1} has {len(row)} entries, expected {n}")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, TrFN):
-                raise ValidationError(f"entry ({i + 1},{j + 1}) is not a trapezoidal number")
-    return rows
+@dataclass(frozen=True, eq=False, init=False)
+class _Relation:
+    """Array storage and the one validation routine of both kinds of relation."""
 
-
-@dataclass(frozen=True)
-class TrFPR:
-    """An additive reciprocal preference relation over ``n`` alternatives."""
-
-    entries: tuple[tuple[TrFN, ...], ...]
+    array: np.ndarray
     neutral: NeutralElement
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _as_matrix(self.entries))
-        if self.neutral.kind != "additive":
-            raise ValidationError("an additive relation needs an additive neutral element")
-        t0 = self.neutral.value
-        for i, row in enumerate(self.entries):
+    def __init__(self, entries: Sequence[Sequence[TrFN]], neutral: NeutralElement) -> None:
+        rows = tuple(tuple(row) for row in entries)
+        if not rows:
+            raise ValidationError("a preference relation needs at least one alternative")
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
+                raise ValidationError(f"row {i + 1} has {len(row)} entries, expected {len(rows)}")
             for j, entry in enumerate(row):
-                if entry.a < -ADDITIVE_TOL or entry.d > 1.0 + ADDITIVE_TOL:
-                    raise ValidationError(f"entry ({i + 1},{j + 1}) = {entry} leaves [0, 1]")
-        for k, row in enumerate(self.entries):
-            if not all(_close_abs(u, v) for u, v in zip(row[k], t0)):
-                raise ValidationError(
-                    f"diagonal entry ({k + 1},{k + 1}) = {row[k]} must equal the "
-                    f"neutral element {t0}"
-                )
-        n = len(self.entries)
-        for i in range(n):
-            for j in range(i + 1, n):
-                mirror = negate(self.entries[i][j])
-                actual = self.entries[j][i]
-                if not all(_close_abs(u, v) for u, v in zip(actual, mirror)):
-                    raise ValidationError(
-                        f"entry ({j + 1},{i + 1}) = {actual} is not the negation of "
-                        f"entry ({i + 1},{j + 1}) = {self.entries[i][j]}"
-                    )
+                if not isinstance(entry, TrFN):
+                    raise ValidationError(f"entry ({i + 1},{j + 1}) is not a trapezoidal number")
+        self._store(np.array([[entry.components for entry in row] for row in rows]), neutral)
+
+    @classmethod
+    def _of(cls, array: np.ndarray, neutral: NeutralElement):
+        relation = object.__new__(cls)
+        relation._store(array, neutral)
+        return relation
+
+    @classmethod
+    def from_upper(cls, array: np.ndarray, neutral: NeutralElement):
+        """Upper triangle from ``array``, mirrored exactly below, ``neutral`` on the diagonal."""
+        n = len(array)
+        i, j = np.nonzero(_upper(n))
+        full = np.array(array, dtype=float)
+        full[j, i] = cls._mirror(array[i, j])
+        full[range(n), range(n)] = neutral.value.components
+        return cls._of(full, neutral)
+
+    def _store(self, array: np.ndarray, neutral: NeutralElement) -> None:
+        if neutral.kind != self._kind:
+            phrase = self._kind_phrase
+            raise ValidationError(f"{phrase} relation needs {phrase} neutral element")
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "neutral", neutral)
+        hit = _first((array[..., :-1] > array[..., 1:]).any(axis=2))
+        if hit:
+            raise ValidationError(
+                f"entry ({hit[0] + 1},{hit[1] + 1}): components must satisfy a <= b <= c <= d, "
+                f"got {tuple(array[hit].tolist())}"
+            )
+        lo, hi, span = _bounds(neutral.scale)
+        hit = _first((array[..., 0] < lo) | (array[..., 3] > hi))
+        if hit:
+            i, j = hit
+            raise ValidationError(f"entry ({i + 1},{j + 1}) = {self.entry(i, j)} leaves {span}")
+        t0 = neutral.value
+        hit = _first(~self._close(array.diagonal().T, np.array(t0.components)).all(axis=1))
+        if hit:
+            (k,) = hit
+            raise ValidationError(
+                f"diagonal entry ({k + 1},{k + 1}) = {self.entry(k, k)} must equal the "
+                f"neutral element {t0}"
+            )
+        mirrored = ~self._close(array.transpose(1, 0, 2), self._mirror(array)).all(axis=2)
+        hit = _first(mirrored & _upper(len(array)))
+        if hit:
+            i, j = hit
+            raise ValidationError(
+                f"entry ({j + 1},{i + 1}) = {self.entry(j, i)} is not the "
+                f"{self._mirror_word} of entry ({i + 1},{j + 1}) = {self.entry(i, j)}"
+            )
+
+    @cached_property
+    def entries(self) -> tuple[tuple[TrFN, ...], ...]:
+        """The entries as rows of ``TrFN``, built from the array on first use."""
+        return tuple(tuple(TrFN(*cell) for cell in row) for row in self.array.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.array)
 
     def entry(self, i: int, j: int) -> TrFN:
-        return self.entries[i][j]
+        return TrFN(*self.array[i, j].tolist())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.neutral == other.neutral and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.neutral))
 
 
-@dataclass(frozen=True)
-class TrMPR:
+class TrFPR(_Relation):
+    """An additive reciprocal preference relation over ``n`` alternatives."""
+
+    _kind, _kind_phrase, _mirror_word = "additive", "an additive", "negation"
+    _close = staticmethod(_close_abs)
+    _mirror = staticmethod(lambda cells: 1.0 - cells[..., ::-1])
+
+
+class TrMPR(_Relation):
     """A multiplicative reciprocal preference relation on the scale ``[1/m, m]``."""
 
-    entries: tuple[tuple[TrFN, ...], ...]
-    neutral: NeutralElement
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _as_matrix(self.entries))
-        if self.neutral.kind != "multiplicative":
-            raise ValidationError("a multiplicative relation needs a multiplicative neutral element")
-        m = float(self.neutral.scale)
-        lo = (1.0 / m) * (1.0 - MULTIPLICATIVE_RTOL)
-        hi = m * (1.0 + MULTIPLICATIVE_RTOL)
-        s0 = self.neutral.value
-        for i, row in enumerate(self.entries):
-            for j, entry in enumerate(row):
-                if entry.a < lo or entry.d > hi:
-                    raise ValidationError(
-                        f"entry ({i + 1},{j + 1}) = {entry} leaves "
-                        f"[1/{self.neutral.scale}, {self.neutral.scale}]"
-                    )
-        for k, row in enumerate(self.entries):
-            if not all(_close_rel(u, v) for u, v in zip(row[k], s0)):
-                raise ValidationError(
-                    f"diagonal entry ({k + 1},{k + 1}) = {row[k]} must equal the "
-                    f"neutral element {s0}"
-                )
-        n = len(self.entries)
-        for i in range(n):
-            for j in range(i + 1, n):
-                mirror = invert(self.entries[i][j])
-                actual = self.entries[j][i]
-                if not all(_close_rel(u, v) for u, v in zip(actual, mirror)):
-                    raise ValidationError(
-                        f"entry ({j + 1},{i + 1}) = {actual} is not the inverse of "
-                        f"entry ({i + 1},{j + 1}) = {self.entries[i][j]}"
-                    )
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+    _kind, _kind_phrase, _mirror_word = "multiplicative", "a multiplicative", "inverse"
+    _close = staticmethod(_close_rel)
+    _mirror = staticmethod(lambda cells: 1.0 / cells[..., ::-1])
 
     @property
     def scale(self) -> int:
         return self.neutral.scale
-
-    def entry(self, i: int, j: int) -> TrFN:
-        return self.entries[i][j]
 
 
 def _check_scale(m: int) -> None:
@@ -251,20 +285,17 @@ def phi_inv(y: float, m: int) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _phi_trfn(t: TrFN, m: int) -> TrFN:
-    return TrFN(phi(t.a, m), phi(t.b, m), phi(t.c, m), phi(t.d, m))
-
-
-def _phi_inv_trfn(t: TrFN, m: int) -> TrFN:
-    return TrFN(phi_inv(t.a, m), phi_inv(t.b, m), phi_inv(t.c, m), phi_inv(t.d, m))
+def _each(fn, cells: np.ndarray, m: int) -> np.ndarray:
+    # The scalar maps stay in Python floats: numpy's power and log may
+    # round differently from math and ``**``.
+    return np.reshape([fn(v, m) for v in cells.ravel().tolist()], cells.shape)
 
 
 def to_multiplicative(x: TrFPR, m: int) -> TrMPR:
     """Map every entry of an additive relation to the scale ``[1/m, m]``."""
     _check_scale(m)
-    neutral = NeutralElement.multiplicative(_phi_trfn(x.neutral.value, m), m)
-    entries = tuple(tuple(_phi_trfn(entry, m) for entry in row) for row in x.entries)
-    return TrMPR(entries, neutral)
+    neutral = NeutralElement.multiplicative(TrFN(*(phi(v, m) for v in x.neutral.value)), m)
+    return TrMPR._of(_each(phi, x.array, m), neutral)
 
 
 def to_additive(y: TrMPR) -> TrFPR:
@@ -281,16 +312,10 @@ def to_additive(y: TrMPR) -> TrFPR:
     pb = min(phi_inv(s0.b, m), 0.5)
     pa = min(pa, pb)
     t0 = TrFN(pa, pb, 1.0 - pb, 1.0 - pa)
-    neutral = NeutralElement.additive(t0)
-    n = y.n
-    grid: list[list[TrFN | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = t0
-        for j in range(i + 1, n):
-            upper = _phi_inv_trfn(y.entries[i][j], m)
-            grid[i][j] = upper
-            grid[j][i] = negate(upper)
-    return TrFPR(tuple(tuple(row) for row in grid), neutral)
+    i, j = np.nonzero(_upper(y.n))
+    upper = np.zeros_like(y.array)
+    upper[i, j] = _each(phi_inv, y.array[i, j], m)
+    return TrFPR.from_upper(upper, NeutralElement.additive(t0))
 
 
 @dataclass(frozen=True)
@@ -311,49 +336,33 @@ class ConsistencyReport:
         )
 
 
-def _scan_triples(entries, combine, neutral_value, tol) -> ConsistencyReport:
-    n = len(entries)
-    violations: list[tuple[float, int, int, int]] = []
-    max_violation = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs = combine(entries[i][j], neutral_value)
-            for k in range(n):
-                rhs = combine(entries[i][k], entries[k][j])
-                violation = distance(lhs, rhs)
-                violations.append((violation, i, j, k))
-                if violation > max_violation:
-                    max_violation = violation
+def _scan_triples(array, combine, neutral_value, tol) -> ConsistencyReport:
+    if tol < 0.0:
+        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    # violation[i, j, k] compares x_ij (.) t0 with x_ik (.) x_kj.
+    lhs = combine(array, np.array(neutral_value.components))[:, :, None, :]
+    rhs = combine(array[:, None, :, :], array.transpose(1, 0, 2)[None, :, :, :])
+    violation = _distance(lhs, rhs)
+    max_violation = float(violation.max())
     # Several triples usually attain the maximum up to rounding; report the
     # first (in index order) triple of three distinct indices among them,
     # since those are the informative ones, and fall back to the first
     # maximal triple of any shape.
     band = max(1e-15, 1e-9 * max_violation)
-    worst = (0, 0, 0)
-    for violation, i, j, k in violations:
-        if violation >= max_violation - band and i != j and j != k and i != k:
-            worst = (i, j, k)
-            break
-    else:
-        for violation, i, j, k in violations:
-            if violation >= max_violation - band:
-                worst = (i, j, k)
-                break
+    near = violation >= max_violation - band
+    i, j, k = np.indices(violation.shape)
+    worst = _first(near & (i != j) & (j != k) & (i != k)) or _first(near)
     return ConsistencyReport(max_violation <= tol, max_violation, worst, tol)
 
 
 def check_consistency(x: TrFPR, tol: float = DEFAULT_CONSISTENCY_TOL) -> ConsistencyReport:
     """Scan all triples for additive transitivity ``x_ij + t0 = x_ik + x_kj``."""
-    if tol < 0.0:
-        raise ValidationError(f"tolerance must be non-negative, got {tol}")
-    return _scan_triples(x.entries, add, x.neutral.value, tol)
+    return _scan_triples(x.array, np.add, x.neutral.value, tol)
 
 
 def check_consistency_mult(y: TrMPR, tol: float = DEFAULT_CONSISTENCY_TOL) -> ConsistencyReport:
     """Scan all triples for multiplicative transitivity ``y_ij * s0 = y_ik * y_kj``."""
-    if tol < 0.0:
-        raise ValidationError(f"tolerance must be non-negative, got {tol}")
-    return _scan_triples(y.entries, mul, y.neutral.value, tol)
+    return _scan_triples(y.array, np.multiply, y.neutral.value, tol)
 
 
 def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
@@ -382,27 +391,16 @@ def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
                 f"element {t0}; the rebuilt diagonal would not be neutral"
             )
     n = len(utilities)
-    grid: list[list[TrFN]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(t0)
-                continue
-            ui, uj = utilities[i], utilities[j]
-            comps = (
-                ui.a + (1.0 - uj.d) - t0.a,
-                ui.b + (1.0 - uj.c) - t0.b,
-                ui.c + (1.0 - uj.b) - t0.c,
-                ui.d + (1.0 - uj.a) - t0.d,
-            )
-            for value in comps:
-                if value < -ADDITIVE_TOL or value > 1.0 + ADDITIVE_TOL:
-                    raise OutOfUnitIntervalError(
-                        f"entry ({i + 1},{j + 1}) component {value} leaves [0, 1]; "
-                        f"the utilities are too spread out for this neutral element"
-                    )
-            comps = tuple(min(max(v, 0.0), 1.0) for v in comps)
-            row.append(TrFN(*comps))
-        grid.append(row)
-    return TrFPR(tuple(tuple(row) for row in grid), neutral)
+    u = np.array([t.components for t in utilities])
+    cells = u[:, None, :] + (1.0 - u[None, :, ::-1]) - np.array(t0.components)
+    off_diagonal = ~np.eye(n, dtype=bool)[:, :, None]
+    hit = _first(off_diagonal & ((cells < -ADDITIVE_TOL) | (cells > 1.0 + ADDITIVE_TOL)))
+    if hit:
+        i, j, c = hit
+        raise OutOfUnitIntervalError(
+            f"entry ({i + 1},{j + 1}) component {float(cells[i, j, c])} leaves [0, 1]; "
+            f"the utilities are too spread out for this neutral element"
+        )
+    cells = np.minimum(np.maximum(cells, 0.0), 1.0)
+    cells[range(n), range(n)] = t0.components
+    return TrFPR._of(cells, neutral)

@@ -74,6 +74,14 @@ class TestProblemValidation:
                 sigma=portfolio["sigma"],
             )
 
+    def test_weights_must_be_finite(self, portfolio):
+        with pytest.raises(ValidationError, match="weight 2"):
+            AhpProblem(
+                criteria_weights=(0.5, float("nan"), 0.5),
+                matrices=portfolio["matrices"],
+                sigma=portfolio["sigma"],
+            )
+
     def test_matrix_sizes_must_agree(self, portfolio, ratio_relation):
         with pytest.raises(ValidationError):
             AhpProblem(

@@ -383,3 +383,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "utility", ADDITIVE)
         assert code == 1
         assert err.startswith("error:")
+
+    def test_nan_criteria_weight_exits_2_with_its_location(self, capsys, tmp_path):
+        doc = json.loads(Path(PORTFOLIO).read_text())
+        doc["criteria_weights"][0] = "NaN"
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "ahp", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "invalid: criteria_weights[0]: 'NaN' is not a finite real number\n"
+
+    def test_overflowing_power_exits_1_with_its_location(self, capsys, tmp_path):
+        doc = json.loads(Path(PORTFOLIO).read_text())
+        doc["criteria_weights"][0] = "9^1000"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "ahp", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: criteria_weights[0]: cannot parse '9^1000' as a number\n"
+
+    def test_non_finite_sigma_flag_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "weights", ADDITIVE, "--sigma", "0.8,0.9,1.1,inf")
+        assert code == 2
+        assert err == "invalid: --sigma: 'inf' is not a finite real number\n"

@@ -44,6 +44,42 @@ class TestParseScalar:
         with pytest.raises(ParseError, match="x"):
             parse_scalar(True, "x")
 
+    def test_nan_is_rejected_with_its_location(self):
+        with pytest.raises(ValidationError, match=r"^x: 'NaN' is not a finite real number$"):
+            parse_scalar("NaN", "x")
+
+    def test_infinity_is_rejected_with_its_location(self):
+        with pytest.raises(ValidationError, match=r"^x: '-inf' is not a finite"):
+            parse_scalar("-inf", "x")
+
+    def test_decimal_overflow_to_infinity_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"^x: '1e400' is not a finite"):
+            parse_scalar("1e400", "x")
+
+    def test_non_finite_json_numbers_are_rejected(self):
+        with pytest.raises(ValidationError, match=r"^x: nan is not a finite"):
+            parse_scalar(float("nan"), "x")
+
+    def test_power_overflow_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=r"^x: cannot parse '9\^1000' as a number$"):
+            parse_scalar("9^1000", "x")
+
+    def test_complex_power_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"^x: '-8\^0.5' is not a finite real number$"):
+            parse_scalar("-8^0.5", "x")
+
+    def test_nan_criteria_weight_names_the_field(self, tmp_path):
+        doc = json.loads((PROBLEMS / "portfolio.json").read_text())
+        doc["criteria_weights"][1] = "NaN"
+        with pytest.raises(ValidationError, match=r"^criteria_weights\[1\]: 'NaN'"):
+            load_problem(write_json(tmp_path, doc))
+
+    def test_overflowing_matrix_entry_names_the_cell(self, tmp_path):
+        doc = additive_doc()
+        doc["matrix"][0][1][3] = "9^1000"
+        with pytest.raises(ParseError, match=r"^matrix entry \(1,2\): cannot parse"):
+            load_problem(write_json(tmp_path, doc))
+
     def test_garbage_reports_the_location(self):
         with pytest.raises(ParseError, match="matrix entry"):
             parse_scalar("one half", "matrix entry (1,2)")
@@ -208,6 +244,21 @@ class TestSaveProblem:
     def test_only_relations_serialize(self):
         with pytest.raises(ValidationError):
             relation_to_dict("not a relation")
+
+    def test_failed_replace_keeps_the_target_and_leaves_no_temporary(
+        self, tmp_path, base_relation, monkeypatch
+    ):
+        path = tmp_path / "out.json"
+        path.write_text("previous contents\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("fuzzylad.files.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_problem(path, base_relation)
+        assert path.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
     def test_written_file_is_plain_json_with_trailing_newline(self, tmp_path, base_relation):
         path = tmp_path / "out.json"

@@ -76,6 +76,18 @@ class TestTrFPRValidation:
             (0.2, 0.3, 0.3, 0.4), abs=1e-15
         )
 
+    def test_storage_is_one_read_only_array(self, base_relation):
+        array = base_relation.array
+        assert array.shape == (3, 3, 4) and array.dtype == np.float64
+        assert not array.flags.writeable
+        assert tuple(array[0, 1]) == base_relation.entry(0, 1).components
+        assert base_relation.entries[2][1] == base_relation.entry(2, 1)
+
+    def test_equal_grids_give_equal_relations(self, base_relation):
+        copy = TrFPR(base_relation.entries, base_relation.neutral)
+        assert copy == base_relation and hash(copy) == hash(base_relation)
+        assert copy != to_multiplicative(base_relation, 9)
+
     def test_diagonal_must_equal_the_neutral_element(self, neutral_4556):
         t0 = neutral_4556.value
         off = TrFN(0.5, 0.6, 0.6, 0.7)
@@ -326,6 +338,11 @@ class TestFromUtilities:
     def test_spread_mismatch_is_rejected(self, neutral_4556):
         utilities = (TrFN(0.2, 0.5, 0.5, 0.8), TrFN(0.4, 0.5, 0.5, 0.6))
         with pytest.raises(ValidationError):
+            from_utilities(utilities, neutral_4556)
+
+    def test_unordered_rebuilt_entries_are_rejected(self, neutral_4556):
+        utilities = (TrFN(0.5, 0.5, 0.5, 0.7), TrFN(0.3, 0.5, 0.5, 0.5))
+        with pytest.raises(ValidationError, match=r"^entry \(1,2\): components must satisfy"):
             from_utilities(utilities, neutral_4556)
 
     def test_entries_leaving_the_unit_interval_are_rejected(self, neutral_4556):
