@@ -127,11 +127,15 @@ def cmd_consistency(args) -> int:
     problem = load_problem(args.file)
     tol = args.tol if args.tol is not None else DEFAULT_CONSISTENCY_TOL
     if problem.kind == "additive":
-        report = check_consistency(problem.relation, tol)
+        check = check_consistency
     elif problem.kind == "multiplicative":
-        report = check_consistency_mult(problem.relation, tol)
+        check = check_consistency_mult
     else:
         raise ValidationError("consistency expects an additive or multiplicative file")
+    try:
+        report = check(problem.relation, tol)
+    except ValidationError as exc:
+        raise ValidationError(f"--tol: {exc}") from exc
     i, j, k = report.worst_triple
     if args.json:
         _print_json(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -217,9 +216,9 @@ class _Relation:
                 f"{self._mirror_word} of entry ({i + 1},{j + 1}) = {self.entry(i, j)}"
             )
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[TrFN, ...], ...]:
-        """The entries as rows of ``TrFN``, built from the array on first use."""
+        """The entries as rows of ``TrFN``, built from the array on each use."""
         return tuple(tuple(TrFN(*cell) for cell in row) for row in self.array.tolist())
 
     @property
@@ -235,7 +234,8 @@ class _Relation:
         return self.neutral == other.neutral and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash((self.entries, self.neutral))
+        # Python floats hash -0.0 and 0.0 alike, as np.array_equal compares them.
+        return hash((tuple(self.array.ravel().tolist()), self.neutral))
 
 
 class TrFPR(_Relation):
@@ -337,8 +337,8 @@ class ConsistencyReport:
 
 
 def _scan_triples(array, combine, neutral_value, tol) -> ConsistencyReport:
-    if tol < 0.0:
-        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
     # violation[i, j, k] compares x_ij (.) t0 with x_ik (.) x_kj.
     lhs = combine(array, np.array(neutral_value.components))[:, :, None, :]
     rhs = combine(array[:, None, :, :], array.transpose(1, 0, 2)[None, :, :, :])

@@ -113,10 +113,21 @@ class LpSolution:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
+    """Pivot on ``T[row, col]``, updating only the columns the pivot row touches.
+
+    A column whose pivot-row entry is zero would only have ``±0.0``
+    subtracted from it, which leaves every non-zero entry as it was; at
+    most the sign of a zero differs from a full sweep, and no decision of
+    the solver depends on that sign.  ``T`` is column-major, so its
+    transpose is row-major and the touched columns are contiguous rows of it.
+    """
+    pivot_row = T[row]
+    cols = pivot_row.nonzero()[0]
+    values = pivot_row[cols] / pivot_row[col]
+    pivot_row[cols] = values
     column = T[:, col].copy()
     column[row] = 0.0
-    T -= np.outer(column, T[row])
+    T.T[cols] -= values[:, None] * column
     T[:, col] = 0.0
     T[row, col] = 1.0
 
@@ -132,27 +143,27 @@ def _iterate(T, basis, pivot_tol, iters_left, bland_after, cost_tol=1e-9):
     bland = False
     stalled = 0
     best_seen = T[-1, -1]
+    reduced = T[-1, :-1]
+    rhs = T[:m, -1]
     while True:
-        reduced = T[-1, :-1]
         if bland:
-            negatives = np.nonzero(reduced < -cost_tol)[0]
+            negatives = np.flatnonzero(reduced < -cost_tol)
             if negatives.size == 0:
                 return "optimal", pivots
             col = int(negatives[0])
         else:
-            col = int(np.argmin(reduced))
+            col = int(reduced.argmin())
             if reduced[col] >= -cost_tol:
                 return "optimal", pivots
         column = T[:m, col]
         eligible = column > pivot_tol
         if not eligible.any():
             return "unbounded", pivots
-        rhs = np.maximum(T[:m, -1], 0.0)
-        ratios = np.full(m, np.inf)
-        ratios[eligible] = rhs[eligible] / column[eligible]
-        best = ratios.min()
-        tied = np.nonzero(ratios == best)[0]
-        row = int(tied[0]) if tied.size == 1 else int(tied[np.argmin(basis[tied])])
+        ratios = np.divide(
+            np.maximum(rhs, 0.0), column, out=np.full(m, np.inf), where=eligible
+        )
+        tied = (ratios == ratios.min()).nonzero()[0]
+        row = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
         if pivots >= iters_left:
             raise IterationLimitError(
                 f"simplex pivot budget exhausted after {pivots} pivots in this phase"
@@ -170,17 +181,19 @@ def _iterate(T, basis, pivot_tol, iters_left, bland_after, cost_tol=1e-9):
                     bland = True
 
 
-def _check_feasible(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> None:
+def _check_feasible(
+    lp: LinearProgram, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, feas_tol: float
+) -> None:
     worst = 0.0
     if lp.a_eq.shape[0]:
         worst = max(worst, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
     if lp.a_ub.shape[0]:
         worst = max(worst, float(np.max(lp.a_ub @ x - lp.b_ub)))
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if np.isfinite(lo):
-            worst = max(worst, lo - x[j])
-        if np.isfinite(hi):
-            worst = max(worst, x[j] - hi)
+    worst = max(
+        worst,
+        float(np.max(np.where(np.isfinite(lo), lo - x, 0.0))),
+        float(np.max(np.where(np.isfinite(hi), x - hi, 0.0))),
+    )
     scale = 1.0 + max(
         float(np.max(np.abs(lp.b_ub))) if lp.b_ub.size else 0.0,
         float(np.max(np.abs(lp.b_eq))) if lp.b_eq.size else 0.0,
@@ -189,6 +202,16 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> None:
         raise ArithmeticError(
             f"simplex returned a point violating constraints by {worst:.3g}"
         )
+
+
+def _subtract_rows(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``target - rows[0] - rows[1] - ...``, one row at a time and in order.
+
+    numpy sums an add reduction pairwise but applies a subtract reduction
+    row after row, so each entry is rounded exactly as in a plain loop over
+    the rows (``tests/test_simplex.py`` checks it against one).
+    """
+    return np.subtract.reduce(np.vstack([target, rows]), axis=0)
 
 
 def solve(
@@ -215,83 +238,60 @@ def solve(
         LpSolution with status OPTIMAL (and a primal-feasible ``x``),
         INFEASIBLE, or UNBOUNDED.
     """
-    # Substitute every variable by a non-negative one.
+    # Substitute every variable by non-negative ones: standard column k
+    # stands for sign[k] * (x[var[k]] - base[var[k]]), and a free variable
+    # becomes the difference of two columns.
     n_orig = lp.num_vars
-    columns: list[tuple[int, float]] = []
-    base = np.zeros(n_orig)
-    bound_rows: list[tuple[int, float]] = []
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if np.isneginf(lo) and np.isposinf(hi):
-            columns.append((j, 1.0))
-            columns.append((j, -1.0))
-        elif not np.isneginf(lo):
-            base[j] = lo
-            columns.append((j, 1.0))
-            if np.isfinite(hi):
-                bound_rows.append((len(columns) - 1, hi - lo))
-        else:
-            base[j] = hi
-            columns.append((j, -1.0))
-    n_std = len(columns)
+    lo, hi = np.array(lp.bounds).reshape(n_orig, 2).T
+    free = np.isneginf(lo) & np.isposinf(hi)
+    flipped = np.isneginf(lo) & ~free
+    base = np.where(flipped, hi, np.where(free, 0.0, lo))
+    var = np.repeat(np.arange(n_orig), np.where(free, 2, 1))
+    first = np.flatnonzero(np.diff(var, prepend=-1))
+    sign = np.where(flipped, -1.0, 1.0)[var]
+    sign[first[free] + 1] = -1.0
+    n_std = var.size
+    c_std = lp.c[var] * sign
 
     def substitute(a: np.ndarray) -> np.ndarray:
-        out = np.zeros((a.shape[0], n_std))
-        for k, (j, sign) in enumerate(columns):
-            out[:, k] = sign * a[:, j]
-        return out
+        return a[:, var] * sign
 
-    a_ub = substitute(lp.a_ub)
-    b_ub = lp.b_ub - lp.a_ub @ base
-    a_eq = substitute(lp.a_eq)
-    b_eq = lp.b_eq - lp.a_eq @ base
-    if bound_rows:
-        extra = np.zeros((len(bound_rows), n_std))
-        extra_rhs = np.empty(len(bound_rows))
-        for r, (k, width) in enumerate(bound_rows):
-            extra[r, k] = 1.0
-            extra_rhs[r] = width
-        a_ub = np.vstack([a_ub, extra])
-        b_ub = np.concatenate([b_ub, extra_rhs])
-    c_std = np.array([sign * lp.c[j] for j, sign in columns])
-
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
-    A = np.zeros((m, n_std + m_ub))
-    b = np.empty(m)
-    A[:m_ub, :n_std] = a_ub
-    if m_ub:
-        A[:m_ub, n_std : n_std + m_ub] = np.eye(m_ub)
-    A[m_ub:, :n_std] = a_eq
-    b[:m_ub] = b_ub
-    b[m_ub:] = b_eq
+    # Inequality rows: the program's own, then x' <= hi - lo for every
+    # variable bounded on both sides; equality rows last.
+    boxed = ~np.isneginf(lo) & np.isfinite(hi)
+    k_ub = lp.a_ub.shape[0]
+    m_ub = k_ub + np.count_nonzero(boxed)
+    m = m_ub + lp.a_eq.shape[0]
+    b = np.concatenate([lp.b_ub - lp.a_ub @ base, (hi - lo)[boxed], lp.b_eq - lp.a_eq @ base])
     negated = b < 0
-    A[negated] *= -1.0
-    b[negated] = -b[negated]
-
-    basis = np.full(m, -1, dtype=int)
-    needs_artificial = []
-    for i in range(m):
-        if i < m_ub and not negated[i]:
-            basis[i] = n_std + i
-        else:
-            needs_artificial.append(i)
+    # Rows with an untouched slack start with it in the basis; every other
+    # row gets an artificial column.
+    has_slack = (np.arange(m) < m_ub) & ~negated
+    needs_artificial = np.flatnonzero(~has_slack)
+    n_art = needs_artificial.size
     art_start = n_std + m_ub
+    basis = np.empty(m, dtype=int)
+    basis[has_slack] = n_std + np.flatnonzero(has_slack)
+    basis[needs_artificial] = art_start + np.arange(n_art)
+
+    # Columns: standard variables, slacks, artificials, right-hand side.
+    # Constraint rows are flipped to a non-negative right-hand side; the
+    # last row holds the phase-1 costs.
+    T = np.zeros((m + 1, art_start + n_art + 1))
+    T[:k_ub, :n_std] = substitute(lp.a_ub)
+    T[np.arange(k_ub, m_ub), first[boxed]] = 1.0
+    T[m_ub:m, :n_std] = substitute(lp.a_eq)
+    T[np.arange(m_ub), n_std + np.arange(m_ub)] = 1.0
+    T[:m, -1] = b
+    T[:m][negated] *= -1.0
+    T[needs_artificial, art_start + np.arange(n_art)] = 1.0
+    T[-1, art_start:-1] = 1.0
+    T[-1] = _subtract_rows(T[-1], T[needs_artificial])
+    # Column-major from here on; see _pivot.
+    T = np.asfortranarray(T)
     total_pivots = 0
 
-    if needs_artificial:
-        n_art = len(needs_artificial)
-        art = np.zeros((m, n_art))
-        for k, i in enumerate(needs_artificial):
-            art[i, k] = 1.0
-            basis[i] = art_start + k
-        T = np.zeros((m + 1, art_start + n_art + 1))
-        T[:m, : art_start] = A
-        T[:m, art_start : art_start + n_art] = art
-        T[:m, -1] = b
-        T[-1, art_start : art_start + n_art] = 1.0
-        for i in range(m):
-            if basis[i] >= art_start:
-                T[-1] -= T[i]
+    if n_art:
         status, pivots = _iterate(T, basis, pivot_tol, max_iters, bland_after)
         total_pivots += pivots
         if status != "optimal":
@@ -300,35 +300,31 @@ def solve(
             return LpSolution(LpStatus.INFEASIBLE, None, None, total_pivots)
         # Remove leftover artificials: pivot them onto a real column when
         # possible, otherwise the row is redundant and gets dropped.
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= art_start:
-                row = np.abs(T[i, :art_start])
-                candidates = np.nonzero(row > pivot_tol)[0]
-                if candidates.size:
-                    _pivot(T, i, int(candidates[0]))
-                    basis[i] = int(candidates[0])
-                    total_pivots += 1
-                else:
-                    keep[i] = False
+        keep = np.ones(m + 1, dtype=bool)
+        for i in np.flatnonzero(basis >= art_start):
+            candidates = np.flatnonzero(np.abs(T[i, :art_start]) > pivot_tol)
+            if candidates.size:
+                _pivot(T, i, int(candidates[0]))
+                basis[i] = int(candidates[0])
+                total_pivots += 1
+            else:
+                keep[i] = False
+        # Drop the artificial columns: the right-hand side moves next to
+        # the slacks and the tableau shrinks to a view of its first columns.
+        T[:, art_start] = T[:, -1]
+        T = T[:, : art_start + 1]
         if not keep.all():
-            T = np.vstack([T[:m][keep], T[-1:]])
-            basis = basis[keep]
+            T = np.asfortranarray(T[keep])
+            basis = basis[keep[:m]]
             m = len(basis)
-        T = np.hstack([T[:, :art_start], T[:, -1:]])
-    else:
-        T = np.zeros((m + 1, art_start + 1))
-        T[:m, :art_start] = A
-        T[:m, -1] = b
 
     cost = np.zeros(art_start)
     cost[:n_std] = c_std
     T[-1, :-1] = cost
     T[-1, -1] = 0.0
-    for i in range(m):
-        cj = cost[basis[i]]
-        if cj != 0.0:
-            T[-1] -= cj * T[i]
+    weights = cost[basis]
+    rows = np.flatnonzero(weights)
+    T[-1] = _subtract_rows(T[-1], weights[rows, None] * T[rows])
     status, pivots = _iterate(T, basis, pivot_tol, max_iters - total_pivots, bland_after)
     total_pivots += pivots
     if status == "unbounded":
@@ -337,7 +333,6 @@ def solve(
     x_std = np.zeros(art_start)
     x_std[basis] = T[:m, -1]
     x = base.copy()
-    for k, (j, sign) in enumerate(columns):
-        x[j] += sign * x_std[k]
-    _check_feasible(lp, x, feas_tol)
+    np.add.at(x, var, sign * x_std[:n_std])
+    _check_feasible(lp, x, lo, hi, feas_tol)
     return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), total_pivots)

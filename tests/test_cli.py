@@ -97,6 +97,12 @@ class TestConsistency:
         assert payload["worst_triple"] == [1, 2, 3]
         assert payload["tol"] > 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exits_2_naming_the_flag(self, capsys, tol):
+        code, out, err = run_cli(capsys, "consistency", CONSISTENT, f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid: --tol:")
+
     def test_ratio_file_uses_the_multiplicative_check(self, capsys):
         code, out, _ = run_cli(capsys, "consistency", RATIO)
         assert code == 0

@@ -83,6 +83,19 @@ class TestTrFPRValidation:
         assert tuple(array[0, 1]) == base_relation.entry(0, 1).components
         assert base_relation.entries[2][1] == base_relation.entry(2, 1)
 
+    def test_entries_are_not_kept_next_to_the_array(self, base_relation):
+        assert base_relation.entries[0][1] == base_relation.entry(0, 1)
+        assert "entries" not in vars(base_relation)
+
+    def test_signed_zeros_give_equal_relations_and_hashes(self, neutral_4556):
+        upper = np.zeros((2, 2, 4))
+        upper[0, 1] = (0.0, 0.2, 0.3, 1.0)
+        plus = TrFPR.from_upper(upper, neutral_4556)
+        upper[0, 1, 0] = -0.0
+        minus = TrFPR.from_upper(upper, neutral_4556)
+        assert np.signbit(minus.array[0, 1, 0]) and not np.signbit(plus.array[0, 1, 0])
+        assert minus == plus and hash(minus) == hash(plus)
+
     def test_equal_grids_give_equal_relations(self, base_relation):
         copy = TrFPR(base_relation.entries, base_relation.neutral)
         assert copy == base_relation and hash(copy) == hash(base_relation)
@@ -262,6 +275,13 @@ class TestConsistency:
     def test_tolerance_is_respected(self, base_relation):
         assert check_consistency(base_relation, tol=0.2).consistent
         assert not check_consistency(base_relation, tol=0.05).consistent
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_tolerance_must_be_finite_and_non_negative(self, base_relation, ratio_relation, tol):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            check_consistency(base_relation, tol)
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            check_consistency_mult(ratio_relation, tol)
 
     def test_ratio_relation_consistency_matches_its_unit_image(self, ratio_relation):
         rep_mult = check_consistency_mult(ratio_relation)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fuzzylad import IterationLimitError, ValidationError
-from fuzzylad.simplex import LinearProgram, LpStatus, solve
+from fuzzylad.simplex import LinearProgram, LpStatus, _pivot, _subtract_rows, solve
 
 N_ORACLE_TRIALS = 100
 
@@ -331,3 +331,41 @@ class TestDeterminism:
             if first.status is LpStatus.OPTIMAL:
                 assert first.objective_value == second.objective_value
                 assert np.array_equal(first.x, second.x)
+
+
+class TestTableauKernels:
+    """The pivot and the row subtraction against plain reference loops."""
+
+    def test_pivot_matches_a_full_sweep(self):
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            shape = (int(rng.integers(2, 30)), int(rng.integers(2, 40)))
+            dense = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            dense[rng.random(shape) < 0.7] = 0.0
+            dense[rng.random(shape) < 0.1] = -0.0
+            candidates = np.argwhere(dense != 0.0)
+            if not len(candidates):
+                continue
+            row, col = candidates[rng.integers(len(candidates))]
+            expected = dense.copy()
+            expected[row] /= expected[row, col]
+            column = expected[:, col].copy()
+            column[row] = 0.0
+            expected -= np.outer(column, expected[row])
+            expected[:, col] = 0.0
+            expected[row, col] = 1.0
+            tableau = np.asfortranarray(dense)
+            _pivot(tableau, int(row), int(col))
+            # Exact equality; only the sign of a zero may differ.
+            assert np.array_equal(tableau, expected)
+
+    def test_subtract_rows_matches_a_plain_loop(self):
+        rng = np.random.default_rng(46)
+        shape = (300, 20)
+        rows = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        target = rng.normal(size=shape[1])
+        expected = target.copy()
+        for r in rows:
+            expected = expected - r
+        assert np.array_equal(_subtract_rows(target, rows), expected)
+        assert np.array_equal(_subtract_rows(target, rows[:0]), target)
