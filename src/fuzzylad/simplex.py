@@ -276,8 +276,8 @@ def solve(
 
     # Columns: standard variables, slacks, artificials, right-hand side.
     # Constraint rows are flipped to a non-negative right-hand side; the
-    # last row holds the phase-1 costs.
-    T = np.zeros((m + 1, art_start + n_art + 1))
+    # last row holds the phase-1 costs.  Column-major; see _pivot.
+    T = np.zeros((m + 1, art_start + n_art + 1), order="F")
     T[:k_ub, :n_std] = substitute(lp.a_ub)
     T[np.arange(k_ub, m_ub), first[boxed]] = 1.0
     T[m_ub:m, :n_std] = substitute(lp.a_eq)
@@ -287,8 +287,6 @@ def solve(
     T[needs_artificial, art_start + np.arange(n_art)] = 1.0
     T[-1, art_start:-1] = 1.0
     T[-1] = _subtract_rows(T[-1], T[needs_artificial])
-    # Column-major from here on; see _pivot.
-    T = np.asfortranarray(T)
     total_pivots = 0
 
     if n_art:
