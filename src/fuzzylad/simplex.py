@@ -331,6 +331,8 @@ def solve(
     x_std = np.zeros(art_start)
     x_std[basis] = T[:m, -1]
     x = base.copy()
+    # Only a free variable gets two terms, on a zero base, so the order of
+    # the additions cannot change a bit of the result.
     np.add.at(x, var, sign * x_std[:n_std])
     _check_feasible(lp, x, lo, hi, feas_tol)
     return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), total_pivots)
