@@ -1,9 +1,9 @@
 """Dense two-phase simplex for small linear programs.
 
 Minimizes ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``
-and per-variable ``(lower, upper)`` bounds, any of which may be infinite.
-Free and upper-bounded-only variables are handled by substitution, so the
-caller can state models naturally.
+and per-variable ``(lower, upper)`` bounds; a lower bound may be ``-inf``
+and an upper bound ``+inf``.  Free and upper-bounded-only variables are
+handled by substitution, so the caller can state models naturally.
 
 The solver is sized for the deviation-minimization instances this package
 generates (tens of variables, a few hundred rows): everything stays in one
@@ -72,7 +72,7 @@ class LinearProgram:
         if len(bounds) != n:
             raise ValidationError(f"expected {n} bound pairs, got {len(bounds)}")
         for j, (lo, hi) in enumerate(bounds):
-            if np.isnan(lo) or np.isnan(hi) or lo > hi:
+            if not (lo <= hi and lo < np.inf and hi > -np.inf):
                 raise ValidationError(f"invalid bounds ({lo}, {hi}) for variable {j}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a_ub", a_ub)

@@ -264,6 +264,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LinearProgram.build(c=[1.0], bounds=[(2.0, 1.0)])
 
+    @pytest.mark.parametrize("bound", [(np.inf, np.inf), (-np.inf, -np.inf)])
+    def test_infinite_bounds_pointing_the_wrong_way_are_rejected(self, bound):
+        lo, hi = bound
+        with pytest.raises(ValidationError, match=rf"^invalid bounds \({lo}, {hi}\) for variable 0$"):
+            LinearProgram.build(c=[1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=[bound])
+
     def test_iteration_budget_is_enforced(self):
         lp = LinearProgram.build(
             c=[-1.0, -1.0, -1.0],
