@@ -12,6 +12,12 @@ program give bit-identical answers.  The entering rule is steepest
 coefficient (Dantzig) and switches permanently to Bland's smallest-index
 rule once the objective has stalled, which breaks degenerate cycles; the
 leaving rule always resolves ratio ties toward the smallest basis index.
+
+The tableau is column-major.  The constraint rows are first stated on the
+standard columns as one row-major block, right-hand side included and
+flipped to be non-negative, which also gives the phase-1 cost row.  The
+ratio test looks only at rows with a positive pivot-column entry, and a
+pivot updates only the columns its row touches (see ``_pivot``).
 """
 
 from __future__ import annotations
@@ -120,16 +126,16 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     most the sign of a zero differs from a full sweep, and no decision of
     the solver depends on that sign.  ``T`` is column-major, so its
     transpose is row-major and the touched columns are contiguous rows of it.
+    The normalised pivot row is written last; its entry at ``col`` is
+    ``p / p``, exactly 1.0.
     """
+    Tt = T.T
     pivot_row = T[row]
     cols = pivot_row.nonzero()[0]
     values = pivot_row[cols] / pivot_row[col]
+    Tt[cols] -= values[:, None] * Tt[col]
+    Tt[col] = 0.0
     pivot_row[cols] = values
-    column = T[:, col].copy()
-    column[row] = 0.0
-    T.T[cols] -= values[:, None] * column
-    T[:, col] = 0.0
-    T[row, col] = 1.0
 
 
 def _iterate(T, basis, pivot_tol, iters_left, bland_after, cost_tol=1e-9):
@@ -142,7 +148,7 @@ def _iterate(T, basis, pivot_tol, iters_left, bland_after, cost_tol=1e-9):
     pivots = 0
     bland = False
     stalled = 0
-    best_seen = T[-1, -1]
+    best_seen = float(T[-1, -1])
     reduced = T[-1, :-1]
     rhs = T[:m, -1]
     while True:
@@ -156,13 +162,11 @@ def _iterate(T, basis, pivot_tol, iters_left, bland_after, cost_tol=1e-9):
             if reduced[col] >= -cost_tol:
                 return "optimal", pivots
         column = T[:m, col]
-        eligible = column > pivot_tol
-        if not eligible.any():
+        eligible = (column > pivot_tol).nonzero()[0]
+        if not eligible.size:
             return "unbounded", pivots
-        ratios = np.divide(
-            np.maximum(rhs, 0.0), column, out=np.full(m, np.inf), where=eligible
-        )
-        tied = (ratios == ratios.min()).nonzero()[0]
+        ratios = np.maximum(rhs[eligible], 0.0) / column[eligible]
+        tied = eligible[ratios == ratios[ratios.argmin()]]
         row = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
         if pivots >= iters_left:
             raise IterationLimitError(
@@ -172,8 +176,8 @@ def _iterate(T, basis, pivot_tol, iters_left, bland_after, cost_tol=1e-9):
         basis[row] = col
         pivots += 1
         if not bland:
-            if T[-1, -1] > best_seen + 1e-12:
-                best_seen = T[-1, -1]
+            if (objective := float(T[-1, -1])) > best_seen + 1e-12:
+                best_seen = objective
                 stalled = 0
             else:
                 stalled += 1
@@ -247,23 +251,22 @@ def solve(
     flipped = np.isneginf(lo) & ~free
     base = np.where(flipped, hi, np.where(free, 0.0, lo))
     var = np.repeat(np.arange(n_orig), np.where(free, 2, 1))
-    first = np.flatnonzero(np.diff(var, prepend=-1))
     sign = np.where(flipped, -1.0, 1.0)[var]
-    sign[first[free] + 1] = -1.0
+    sign[1:][np.diff(var) == 0] = -1.0
     n_std = var.size
-    c_std = lp.c[var] * sign
-
-    def substitute(a: np.ndarray) -> np.ndarray:
-        return a[:, var] * sign
 
     # Inequality rows: the program's own, then x' <= hi - lo for every
-    # variable bounded on both sides; equality rows last.
-    boxed = ~np.isneginf(lo) & np.isfinite(hi)
-    k_ub = lp.a_ub.shape[0]
-    m_ub = k_ub + np.count_nonzero(boxed)
+    # variable bounded on both sides; equality rows last.  The block holds
+    # them on the standard columns, right-hand side last, sign-flipped.
+    boxed = np.flatnonzero(~np.isneginf(lo) & np.isfinite(hi))
+    m_ub = lp.a_ub.shape[0] + boxed.size
     m = m_ub + lp.a_eq.shape[0]
     b = np.concatenate([lp.b_ub - lp.a_ub @ base, (hi - lo)[boxed], lp.b_eq - lp.a_eq @ base])
     negated = b < 0
+    flip = np.where(negated, -1.0, 1.0)
+    rows = np.vstack([lp.a_ub, np.equal.outer(boxed, np.arange(n_orig)), lp.a_eq])
+    block = np.column_stack([rows, b])[:, np.append(var, n_orig)]
+    block *= flip[:, None] * np.append(sign, 1.0)
     # Rows with an untouched slack start with it in the basis; every other
     # row gets an artificial column.
     has_slack = (np.arange(m) < m_ub) & ~negated
@@ -274,19 +277,18 @@ def solve(
     basis[has_slack] = n_std + np.flatnonzero(has_slack)
     basis[needs_artificial] = art_start + np.arange(n_art)
 
-    # Columns: standard variables, slacks, artificials, right-hand side.
-    # Constraint rows are flipped to a non-negative right-hand side; the
-    # last row holds the phase-1 costs.  Column-major; see _pivot.
+    # Columns: standard variables, slacks, artificials, right-hand side;
+    # the last row holds the phase-1 costs.  Column-major; see _pivot.
+    # A flipped row's slack costs 0 - (-1) = 1 and every artificial 1 - 1 = 0.
     T = np.zeros((m + 1, art_start + n_art + 1), order="F")
-    T[:k_ub, :n_std] = substitute(lp.a_ub)
-    T[np.arange(k_ub, m_ub), first[boxed]] = 1.0
-    T[m_ub:m, :n_std] = substitute(lp.a_eq)
-    T[np.arange(m_ub), n_std + np.arange(m_ub)] = 1.0
-    T[:m, -1] = b
-    T[:m][negated] *= -1.0
+    T[:m, :n_std] = block[:, :-1]
+    T[:m, -1] = block[:, -1]
+    T[np.arange(m_ub), n_std + np.arange(m_ub)] = flip[:m_ub]
     T[needs_artificial, art_start + np.arange(n_art)] = 1.0
-    T[-1, art_start:-1] = 1.0
-    T[-1] = _subtract_rows(T[-1], T[needs_artificial])
+    cost = _subtract_rows(np.zeros(n_std + 1), block[needs_artificial])
+    T[-1, :n_std] = cost[:-1]
+    T[-1, n_std:art_start] = negated[:m_ub]
+    T[-1, -1] = cost[-1]
     total_pivots = 0
 
     if n_art:
@@ -316,13 +318,11 @@ def solve(
             basis = basis[keep[:m]]
             m = len(basis)
 
-    cost = np.zeros(art_start)
-    cost[:n_std] = c_std
-    T[-1, :-1] = cost
-    T[-1, -1] = 0.0
+    cost = np.zeros(art_start + 1)
+    cost[:n_std] = lp.c[var] * sign
     weights = cost[basis]
     rows = np.flatnonzero(weights)
-    T[-1] = _subtract_rows(T[-1], weights[rows, None] * T[rows])
+    T[-1] = _subtract_rows(cost, weights[rows, None] * T[rows])
     status, pivots = _iterate(T, basis, pivot_tol, max_iters - total_pivots, bland_after)
     total_pivots += pivots
     if status == "unbounded":
