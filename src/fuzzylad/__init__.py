@@ -15,6 +15,7 @@ from .errors import (
     NotConsistentError,
     OutOfUnitIntervalError,
     ParseError,
+    SizeLimitError,
     ValidationError,
 )
 from .files import LoadedProblem, load_problem, save_problem
@@ -26,6 +27,7 @@ from .group import (
     verify_bounds,
 )
 from .lad import (
+    MAX_LP_ALTERNATIVES,
     Model,
     UtilityVector,
     build_lp,
@@ -82,6 +84,7 @@ __all__ = [
     "LoadedProblem",
     "LpSolution",
     "LpStatus",
+    "MAX_LP_ALTERNATIVES",
     "MagWeights",
     "Model",
     "NeutralElement",
@@ -89,6 +92,7 @@ __all__ = [
     "OutOfUnitIntervalError",
     "ParseError",
     "Ranking",
+    "SizeLimitError",
     "TrFN",
     "TrFPR",
     "TrMPR",

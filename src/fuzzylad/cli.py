@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from .ahp import AhpProblem, amm_weights, deviation, gmm_weights, run_ahp
-from .errors import InfeasibleError, ParseError, ValidationError
+from .errors import InfeasibleError, ParseError, SizeLimitError, ValidationError
 from .files import LoadedProblem, load_problem, parse_scalar, save_problem
 from .lad import Model, UtilityVector, derive_utility, derive_weights
 from .relations import (
@@ -337,6 +337,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SizeLimitError as exc:
+        print(f"invalid: {args.file}: {exc}", file=sys.stderr)
+        return 2
     except ValidationError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,10 @@ class ValidationError(ValueError):
     """A domain object violates one of its structural invariants."""
 
 
+class SizeLimitError(ValidationError):
+    """A problem exceeds a documented size limit."""
+
+
 class OutOfUnitIntervalError(ValidationError):
     """A reconstructed relation entry would leave the unit interval."""
 

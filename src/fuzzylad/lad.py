@@ -28,7 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, NotConsistentError, ValidationError
+from .errors import (
+    InfeasibleError,
+    IterationLimitError,
+    NotConsistentError,
+    SizeLimitError,
+    ValidationError,
+)
 from .relations import (
     DEFAULT_CONSISTENCY_TOL,
     TrFPR,
@@ -50,6 +56,7 @@ __all__ = [
     "shift_normalize",
     "fast_path_consistent",
     "evaluate_objective",
+    "MAX_LP_ALTERNATIVES",
 ]
 
 # Agreement required between the LP optimum and the objective recomputed
@@ -57,6 +64,11 @@ __all__ = [
 OBJECTIVE_AGREEMENT_TOL = 1e-7
 
 _SNAP_TOL = 1e-12
+
+# Largest relation the deviation LP is built for.  The dense tableau has
+# about 8n^2 rows and 12n^2 columns: n = 15 takes about 2 s, 9500 pivots and
+# 170 MB, and the 20000-pivot budget runs out near n = 20.
+MAX_LP_ALTERNATIVES = 15
 
 
 class Model(str, Enum):
@@ -138,6 +150,10 @@ def build_lp(x: TrFPR, model: Model, sigma: TrFN | None = None) -> LinearProgram
     implied (for example non-negativity of the b component under model P)
     is left to the ordering chain.
     """
+    if x.n > MAX_LP_ALTERNATIVES:
+        raise SizeLimitError(
+            f"the deviation LP takes at most {MAX_LP_ALTERNATIVES} alternatives, got {x.n}"
+        )
     if model is Model.QSIGMA:
         model = Model.PSIGMA
     if model is Model.PSIGMA:
@@ -222,7 +238,10 @@ def derive_utility(
     if model is Model.QSIGMA:
         raise ValidationError("use derive_weights for ratio-scale relations")
     lp = build_lp(x, model, sigma)
-    solution = solve(lp)
+    try:
+        solution = solve(lp)
+    except IterationLimitError as exc:
+        raise IterationLimitError(f"n = {x.n}, model {model.value}: {exc}") from exc
     if solution.status is LpStatus.INFEASIBLE:
         raise InfeasibleError(
             f"model {model.value} admits no utilities for the given total-utility target"

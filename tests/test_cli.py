@@ -4,9 +4,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fuzzylad import InfeasibleError, load_problem
+from conftest import rand_consistent_trfpr
+from fuzzylad import MAX_LP_ALTERNATIVES, InfeasibleError, load_problem, save_problem
 from fuzzylad.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -409,6 +411,19 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: criteria_weights[0]: cannot parse '9^1000' as a number\n"
+
+    def test_relation_above_the_lp_size_limit_exits_2_naming_the_file(self, capsys, tmp_path):
+        n = MAX_LP_ALTERNATIVES + 1
+        path = tmp_path / "large.json"
+        save_problem(path, rand_consistent_trfpr(np.random.default_rng(43), n))
+        code, out, err = run_cli(capsys, "utility", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"invalid: {path}: the deviation LP takes at most {n - 1} alternatives, got {n}\n"
+        )
+        # Commands that solve no LP still take the file.
+        assert run_cli(capsys, "consistency", str(path))[0] == 0
 
     def test_non_finite_sigma_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "weights", ADDITIVE, "--sigma", "0.8,0.9,1.1,inf")

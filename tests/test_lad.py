@@ -1,11 +1,18 @@
 """Deviation objective, LP assembly, and utility derivation."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
+import fuzzylad.lad
 from fuzzylad import (
+    MAX_LP_ALTERNATIVES,
+    IterationLimitError,
     Model,
     NotConsistentError,
+    SizeLimitError,
     TrFN,
     UtilityVector,
     ValidationError,
@@ -139,6 +146,23 @@ class TestBuildLp:
         with pytest.raises(ValidationError):
             build_lp(base_relation, Model.P, sigma_unit)
 
+    def test_relations_above_the_size_limit_are_refused_before_allocation(self):
+        x = rand_consistent_trfpr(np.random.default_rng(40), MAX_LP_ALTERNATIVES + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=r"at most 15 alternatives, got 16"):
+                build_lp(x, Model.P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The LP's dense constraint matrix alone would take about 18 MB.
+        assert peak < 100_000
+        assert issubclass(SizeLimitError, ValidationError)
+
+    def test_the_size_limit_itself_is_accepted(self):
+        x = rand_consistent_trfpr(np.random.default_rng(41), MAX_LP_ALTERNATIVES)
+        assert build_lp(x, Model.P).num_vars == 4 * 15 + 4 * 15 * 15
+
     def test_nonpositive_target_is_rejected(self, base_relation):
         with pytest.raises(ValidationError):
             build_lp(base_relation, Model.PSIGMA, TrFN(0.0, 0.1, 0.2, 0.3))
@@ -230,6 +254,11 @@ class TestDeriveUtility:
                     pair_gap = magnitude(x.entry(i, j)) - 0.5
                     assert mags[i] - mags[j] == pytest.approx(pair_gap, abs=1e-7)
 
+    def test_pivot_budget_error_names_n_and_the_model(self, base_relation, monkeypatch):
+        monkeypatch.setattr(fuzzylad.lad, "solve", partial(fuzzylad.lad.solve, max_iters=2))
+        with pytest.raises(IterationLimitError, match=r"^n = 3, model punit: simplex pivot budget"):
+            derive_utility(base_relation, Model.PUNIT)
+
     def test_weights_model_is_rejected_here(self, ratio_relation):
         with pytest.raises(ValidationError):
             derive_utility(to_additive(ratio_relation), Model.QSIGMA)
@@ -315,6 +344,10 @@ class TestFastPath:
     def test_column_index_is_validated(self, consistent_relation):
         with pytest.raises(ValidationError):
             fast_path_consistent(consistent_relation, k=3)
+
+    def test_relations_above_the_lp_size_limit_are_accepted(self):
+        x = rand_consistent_trfpr(np.random.default_rng(42), MAX_LP_ALTERNATIVES + 9)
+        assert fast_path_consistent(x).objective <= 1e-10
 
     def test_random_consistent_relations(self):
         rng = np.random.default_rng(39)
