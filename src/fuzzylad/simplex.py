@@ -264,8 +264,8 @@ def solve(
     b = np.concatenate([lp.b_ub - lp.a_ub @ base, (hi - lo)[boxed], lp.b_eq - lp.a_eq @ base])
     negated = b < 0
     flip = np.where(negated, -1.0, 1.0)
-    rows = np.vstack([lp.a_ub, np.equal.outer(boxed, np.arange(n_orig)), lp.a_eq])
-    block = np.column_stack([rows, b])[:, np.append(var, n_orig)]
+    block = np.vstack([lp.a_ub, np.equal.outer(boxed, np.arange(n_orig)), lp.a_eq])
+    block = np.column_stack([block, b])[:, np.append(var, n_orig)]
     block *= flip[:, None] * np.append(sign, 1.0)
     # Rows with an untouched slack start with it in the basis; every other
     # row gets an artificial column.
@@ -285,15 +285,15 @@ def solve(
     T[:m, -1] = block[:, -1]
     T[np.arange(m_ub), n_std + np.arange(m_ub)] = flip[:m_ub]
     T[needs_artificial, art_start + np.arange(n_art)] = 1.0
-    cost = _subtract_rows(np.zeros(n_std + 1), block[needs_artificial])
-    T[-1, :n_std] = cost[:-1]
+    phase1 = _subtract_rows(np.zeros(n_std + 1), block[needs_artificial])
+    T[-1, :n_std] = phase1[:-1]
     T[-1, n_std:art_start] = negated[:m_ub]
-    T[-1, -1] = cost[-1]
+    T[-1, -1] = phase1[-1]
+    del block  # set-up only; the pivots run without it
     total_pivots = 0
 
     if n_art:
-        status, pivots = _iterate(T, basis, pivot_tol, max_iters, bland_after)
-        total_pivots += pivots
+        status, total_pivots = _iterate(T, basis, pivot_tol, max_iters, bland_after)
         if status != "optimal":
             raise ArithmeticError("phase 1 objective is bounded below; solver defect")
         if -T[-1, -1] > feas_tol:
