@@ -66,8 +66,9 @@ OBJECTIVE_AGREEMENT_TOL = 1e-7
 _SNAP_TOL = 1e-12
 
 # Largest relation the deviation LP is built for.  The dense tableau has
-# about 8n^2 rows and 12n^2 columns: n = 15 takes about 2 s, 9500 pivots and
-# 170 MB, and the 20000-pivot budget runs out near n = 20.
+# about 8n^2 rows and 16n^2 columns: one n = 15 punit solve took about 2 s,
+# 9500 pivots and 170 MB on a 2-vCPU guest, and the 20000-pivot budget runs
+# out near n = 20.
 MAX_LP_ALTERNATIVES = 15
 
 
