@@ -11,7 +11,8 @@ paths those never reach: Bland's rule (a cycling instance, and LAD programs
 solved with ``bland_after=0``), infeasible and unbounded programs, the
 cleanup of an artificial left basic after phase 1, the drop of a redundant
 row, and an exhausted pivot budget.  Any change to the pivot sequence or to
-a single bit of an answer fails here.  When such a change is intended, regenerate with
+a single bit of an answer fails here.  When such a change is intended,
+regenerate with
 
     PYTHONPATH=src:tests python tests/test_solver_golden.py
 
