@@ -72,7 +72,10 @@ def optimal_face(lp, n: int) -> tuple[float, np.ndarray, np.ndarray]:
     return best, low.reshape(n, 4), high.reshape(n, 4)
 
 
-@pytest.mark.parametrize("name, criterion", [c[1:] for c in cases()], ids=[c[0] for c in cases()])
+CASES = cases()
+
+
+@pytest.mark.parametrize("name, criterion", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_answer_lies_on_the_optimal_face(name, criterion):
     answer, lp = default_answer(name, criterion)
     best, low, high = optimal_face(lp, answer.n)
