@@ -43,22 +43,25 @@ def _fmt_trfn(t: TrFN) -> str:
     return f"T({_fmt(t.a)}, {_fmt(t.b)}, {_fmt(t.c)}, {_fmt(t.d)})"
 
 
+def _under_flag(flag: str, build, *args):
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{flag}: {exc}") from exc
+
+
 def _parse_sigma(text: str) -> TrFN:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValidationError("--sigma expects four comma-separated components")
-    comps = [parse_scalar(p, "--sigma") for p in parts]
-    try:
-        return TrFN(*comps)
-    except ValidationError as exc:
-        raise ValidationError(f"--sigma: {exc}") from exc
+    return _under_flag("--sigma", TrFN, *(parse_scalar(p, "--sigma") for p in parts))
 
 
 def _parse_mag_weights(text: str) -> MagWeights:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError("--mag-weights expects two comma-separated values")
-    return MagWeights(parse_scalar(parts[0], "--mag-weights"), parse_scalar(parts[1], "--mag-weights"))
+    return _under_flag("--mag-weights", MagWeights, *(parse_scalar(p, "--mag-weights") for p in parts))
 
 
 def _resolve_mag_weights(args, problem: LoadedProblem) -> MagWeights:
@@ -263,7 +266,7 @@ def cmd_convert(args) -> int:
     if args.to == problem.kind:
         raise ValidationError(f"file already is {problem.kind}; nothing to convert")
     if args.to == "multiplicative":
-        converted: TrFPR | TrMPR = to_multiplicative(problem.relation, args.scale)
+        converted: TrFPR | TrMPR = _under_flag("--scale", to_multiplicative, problem.relation, args.scale)
     else:
         converted = to_additive(problem.relation)
     save_problem(args.out, converted)

@@ -13,10 +13,10 @@ coefficient (Dantzig) and switches permanently to Bland's smallest-index
 rule once the objective has stalled, which breaks degenerate cycles; the
 leaving rule always resolves ratio ties toward the smallest basis index.
 
-The tableau is column-major.  The constraint rows are first stated on the
-standard columns as one row-major block, right-hand side included and
-flipped to be non-negative, which also gives the phase-1 cost row.  The
-ratio test looks only at rows with a positive pivot-column entry, and a
+The tableau is column-major and the solver's only copy of the program:
+constraint rows are written straight into it and flipped in place to a
+non-negative right-hand side, and both cost rows are reduced from its rows.
+The ratio test looks only at rows with a positive pivot-column entry, and a
 pivot updates only the columns its row touches (see ``_pivot``).
 """
 
@@ -208,14 +208,18 @@ def _check_feasible(
         )
 
 
-def _subtract_rows(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``target - rows[0] - rows[1] - ...``, one row at a time and in order.
+def _subtract_rows(T: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> None:
+    """Subtract ``weights[k] * T[rows[k]]`` from ``T[-1]`` in order, 32 rows at a time.
 
     numpy sums an add reduction pairwise but applies a subtract reduction
     row after row, so each entry is rounded exactly as in a plain loop over
     the rows (``tests/test_simplex.py`` checks it against one).
     """
-    return np.subtract.reduce(np.vstack([target, rows]), axis=0)
+    for start in range(0, rows.size, 32):
+        block = T[np.append(-1, rows[start : start + 32])]
+        block[1:] *= weights[start : start + 32, None]
+        T[-1] = np.subtract.reduce(block, axis=0)
+        del block  # before the next gather
 
 
 def solve(
@@ -251,22 +255,21 @@ def solve(
     flipped = np.isneginf(lo) & ~free
     base = np.where(flipped, hi, np.where(free, 0.0, lo))
     var = np.repeat(np.arange(n_orig), np.where(free, 2, 1))
+    first = np.flatnonzero(np.diff(var, prepend=-1))
+    twin = 1 + np.flatnonzero(np.diff(var) == 0)
     sign = np.where(flipped, -1.0, 1.0)[var]
-    sign[1:][np.diff(var) == 0] = -1.0
+    sign[twin] = -1.0
     n_std = var.size
 
     # Inequality rows: the program's own, then x' <= hi - lo for every
-    # variable bounded on both sides; equality rows last.  The block holds
-    # them on the standard columns, right-hand side last, sign-flipped.
+    # variable bounded on both sides; equality rows last, each row flipped.
     boxed = np.flatnonzero(~np.isneginf(lo) & np.isfinite(hi))
-    m_ub = lp.a_ub.shape[0] + boxed.size
+    n_ub = lp.a_ub.shape[0]
+    m_ub = n_ub + boxed.size
     m = m_ub + lp.a_eq.shape[0]
     b = np.concatenate([lp.b_ub - lp.a_ub @ base, (hi - lo)[boxed], lp.b_eq - lp.a_eq @ base])
     negated = b < 0
     flip = np.where(negated, -1.0, 1.0)
-    block = np.vstack([lp.a_ub, np.equal.outer(boxed, np.arange(n_orig)), lp.a_eq])
-    block = np.column_stack([block, b])[:, np.append(var, n_orig)]
-    block *= flip[:, None] * np.append(sign, 1.0)
     # Rows with an untouched slack start with it in the basis; every other
     # row gets an artificial column.
     has_slack = (np.arange(m) < m_ub) & ~negated
@@ -279,17 +282,21 @@ def solve(
 
     # Columns: standard variables, slacks, artificials, right-hand side;
     # the last row holds the phase-1 costs.  Column-major; see _pivot.
-    # A flipped row's slack costs 0 - (-1) = 1 and every artificial 1 - 1 = 0.
+    # Rows go straight in; a free variable's twin copies the column before it.
     T = np.zeros((m + 1, art_start + n_art + 1), order="F")
-    T[:m, :n_std] = block[:, :-1]
-    T[:m, -1] = block[:, -1]
+    T[:n_ub, first] = lp.a_ub
+    T[m_ub:m, first] = lp.a_eq
+    T[n_ub + np.arange(boxed.size), first[boxed]] = 1.0
+    T[:m, twin] = T[:m, twin - 1]
+    T[:m, np.flatnonzero(sign < 0)] *= -1.0
+    T[:m, :n_std] *= flip[:, None]
+    T[:m, -1] = flip * b
     T[np.arange(m_ub), n_std + np.arange(m_ub)] = flip[:m_ub]
     T[needs_artificial, art_start + np.arange(n_art)] = 1.0
-    phase1 = _subtract_rows(np.zeros(n_std + 1), block[needs_artificial])
-    T[-1, :n_std] = phase1[:-1]
-    T[-1, n_std:art_start] = negated[:m_ub]
-    T[-1, -1] = phase1[-1]
-    del block  # set-up only; the pivots run without it
+    # Phase-1 costs: 1 per artificial, less every artificial row in turn, so
+    # a flipped row's slack ends at 0 - (-1) = 1 and every artificial at 0.
+    T[-1, art_start:-1] = 1.0
+    _subtract_rows(T, needs_artificial, np.ones(n_art))
     total_pivots = 0
 
     if n_art:
@@ -318,11 +325,11 @@ def solve(
             basis = basis[keep[:m]]
             m = len(basis)
 
-    cost = np.zeros(art_start + 1)
-    cost[:n_std] = lp.c[var] * sign
-    weights = cost[basis]
+    T[-1] = 0.0
+    T[-1, :n_std] = lp.c[var] * sign
+    weights = T[-1, basis]
     rows = np.flatnonzero(weights)
-    T[-1] = _subtract_rows(cost, weights[rows, None] * T[rows])
+    _subtract_rows(T, rows, weights[rows])
     status, pivots = _iterate(T, basis, pivot_tol, max_iters - total_pivots, bland_after)
     total_pivots += pivots
     if status == "unbounded":

@@ -429,3 +429,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "weights", ADDITIVE, "--sigma", "0.8,0.9,1.1,inf")
         assert code == 2
         assert err == "invalid: --sigma: 'inf' is not a finite real number\n"
+
+    def test_bad_magnitude_weights_exit_2_naming_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "utility", ADDITIVE, "--mag-weights", "0.1,0.1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid: --mag-weights: magnitude weights must satisfy ")
+
+    def test_bad_scale_exits_2_naming_the_flag(self, capsys, tmp_path):
+        out_path = tmp_path / "ratio.json"
+        code, out, err = run_cli(
+            capsys, "convert", ADDITIVE, "--to", "multiplicative", "--scale", "1", "--out", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "invalid: --scale: scale must be an integer >= 2, got 1\n"
+        assert not out_path.exists()

@@ -31,6 +31,7 @@ from fuzzylad import (
     to_additive,
     to_multiplicative,
 )
+from fuzzylad.simplex import LpStatus, solve
 from conftest import (
     LATTICE,
     lattice_value,
@@ -158,6 +159,25 @@ class TestBuildLp:
         # The LP's dense constraint matrix alone would take about 18 MB.
         assert peak < 100_000
         assert issubclass(SizeLimitError, ValidationError)
+
+    def test_one_solve_needs_little_beyond_its_tableau_and_program(self):
+        lp = build_lp(rand_trfpr(np.random.default_rng(47), 7), Model.PUNIT)
+        lo, hi = np.array(lp.bounds).T
+        std_columns = lp.num_vars + int(np.count_nonzero(np.isinf(lo) & np.isinf(hi)))
+        ub_rows = lp.a_ub.shape[0] + int(np.count_nonzero(np.isfinite(lo) & np.isfinite(hi)))
+        rows = ub_rows + lp.a_eq.shape[0]
+        # Standard columns, one slack per inequality, at most one artificial
+        # per row and the right-hand side; the cost row below.
+        tableau_bytes = 8 * (rows + 1) * (std_columns + ub_rows + rows + 1)
+        program_bytes = sum(a.nbytes for a in (lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq))
+        tracemalloc.start()
+        try:
+            solution = solve(lp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solution.status is LpStatus.OPTIMAL
+        assert peak <= 1.1 * (tableau_bytes + program_bytes)
 
     def test_the_size_limit_itself_is_accepted(self):
         x = rand_consistent_trfpr(np.random.default_rng(41), MAX_LP_ALTERNATIVES)

@@ -367,11 +367,17 @@ class TestTableauKernels:
 
     def test_subtract_rows_matches_a_plain_loop(self):
         rng = np.random.default_rng(46)
-        shape = (300, 20)
-        rows = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
-        target = rng.normal(size=shape[1])
-        expected = target.copy()
-        for r in rows:
-            expected = expected - r
-        assert np.array_equal(_subtract_rows(target, rows), expected)
-        assert np.array_equal(_subtract_rows(target, rows[:0]), target)
+        shape = (301, 20)
+        dense = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        # More rows than one group of 32, taken in order with gaps.
+        rows = np.flatnonzero(rng.random(shape[0] - 1) < 0.6)
+        weights = rng.normal(size=rows.size) * 10.0 ** rng.integers(-3, 3, size=rows.size)
+        expected = dense[-1].copy()
+        for r, w in zip(rows, weights):
+            expected = expected - w * dense[r]
+        tableau = np.asfortranarray(dense)
+        _subtract_rows(tableau, rows, weights)
+        assert np.array_equal(tableau[-1], expected)
+        assert np.array_equal(tableau[:-1], dense[:-1])
+        _subtract_rows(tableau, rows[:0], weights[:0])
+        assert np.array_equal(tableau[-1], expected)
