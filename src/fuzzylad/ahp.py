@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, IterationLimitError, ValidationError
-from .group import convex_weights, weighted_sum
+from .group import combine_utilities, convex_weights
 from .lad import UtilityVector, _validate_sigma, derive_weights, evaluate_objective
 from .relations import TrMPR, to_additive
-from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, magnitude, rank
+from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, rank
 
 __all__ = ["AhpProblem", "AhpResult", "run_ahp", "amm_weights", "gmm_weights", "deviation"]
 
@@ -90,15 +90,12 @@ def run_ahp(problem: AhpProblem) -> AhpResult:
             local.append(derive_weights(y, problem.sigma))
         except (InfeasibleError, IterationLimitError) as exc:
             raise type(exc)(f"criterion {k + 1}: {exc}") from exc
-    parts = [np.array([t.components for t in vec.utilities]) for vec in local]
-    combined = weighted_sum(problem.criteria_weights, parts)
-    global_weights = tuple(TrFN(*row) for row in combined.tolist())
-    mags = tuple(magnitude(t, problem.mag_weights) for t in global_weights)
+    global_weights = combine_utilities(problem.criteria_weights, local)
     ranking = rank(global_weights, problem.mag_weights)
     return AhpResult(
         tuple(local),
         global_weights,
-        mags,
+        ranking.magnitudes,
         ranking,
         tuple(vec.objective for vec in local),
     )

@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from .ahp import AhpProblem, amm_weights, deviation, gmm_weights, run_ahp
-from .errors import InfeasibleError, ParseError, SizeLimitError, ValidationError
+from .errors import InfeasibleError, ParseError, SizeLimitError, ValidationError, located
 from .files import LoadedProblem, load_problem, parse_scalar, save_problem
 from .lad import Model, UtilityVector, derive_utility, derive_weights
 from .relations import (
@@ -30,7 +30,7 @@ from .relations import (
     to_additive,
     to_multiplicative,
 )
-from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, TrFN, magnitude, rank
+from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, TrFN, rank
 
 __all__ = ["main"]
 
@@ -43,30 +43,23 @@ def _fmt_trfn(t: TrFN) -> str:
     return f"T({_fmt(t.a)}, {_fmt(t.b)}, {_fmt(t.c)}, {_fmt(t.d)})"
 
 
-def _under_flag(flag: str, build, *args):
-    try:
-        return build(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{flag}: {exc}") from exc
+def _rows(values) -> list[list[float]]:
+    return [list(t.components) for t in values]
 
 
-def _parse_sigma(text: str) -> TrFN:
+def _parse_flag(flag: str, text: str, build, count: int, expects: str):
+    """``build`` applied to the ``count`` comma-separated numbers of a flag's value."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ValidationError("--sigma expects four comma-separated components")
-    return _under_flag("--sigma", TrFN, *(parse_scalar(p, "--sigma") for p in parts))
-
-
-def _parse_mag_weights(text: str) -> MagWeights:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError("--mag-weights expects two comma-separated values")
-    return _under_flag("--mag-weights", MagWeights, *(parse_scalar(p, "--mag-weights") for p in parts))
+    if len(parts) != count:
+        raise ValidationError(f"{flag} expects {expects}")
+    return located(flag, build, *(parse_scalar(p, flag) for p in parts))
 
 
 def _resolve_mag_weights(args, problem: LoadedProblem) -> MagWeights:
     if args.mag_weights is not None:
-        return _parse_mag_weights(args.mag_weights)
+        return _parse_flag(
+            "--mag-weights", args.mag_weights, MagWeights, 2, "two comma-separated values"
+        )
     if problem.mag_weights is not None:
         return problem.mag_weights
     return DEFAULT_MAG_WEIGHTS
@@ -74,7 +67,7 @@ def _resolve_mag_weights(args, problem: LoadedProblem) -> MagWeights:
 
 def _resolve_sigma(args, problem: LoadedProblem) -> TrFN | None:
     if getattr(args, "sigma", None) is not None:
-        return _parse_sigma(args.sigma)
+        return _parse_flag("--sigma", args.sigma, TrFN, 4, "four comma-separated components")
     return problem.sigma
 
 
@@ -94,7 +87,7 @@ def _utility_payload(result: UtilityVector, mag_weights: MagWeights) -> dict:
     ranking = rank(result.utilities, mag_weights)
     return {
         "model": result.model.value,
-        "utilities": [list(u.components) for u in result.utilities],
+        "utilities": _rows(result.utilities),
         "objective": result.objective,
         "magnitudes": list(ranking.magnitudes),
         "ranking": ranking.label(),
@@ -135,10 +128,7 @@ def cmd_consistency(args) -> int:
         check = check_consistency_mult
     else:
         raise ValidationError("consistency expects an additive or multiplicative file")
-    try:
-        report = check(problem.relation, tol)
-    except ValidationError as exc:
-        raise ValidationError(f"--tol: {exc}") from exc
+    report = located("--tol", check, problem.relation, tol)
     i, j, k = report.worst_triple
     if args.json:
         _print_json(
@@ -168,7 +158,7 @@ def _derive_for_file(problem: LoadedProblem, model: Model, sigma: TrFN | None) -
 def cmd_utility(args) -> int:
     problem = load_problem(args.file)
     if problem.kind == "ahp":
-        raise ValidationError("utility expects an additive or multiplicative file; use ahp")
+        raise ValidationError(f"{args.command} expects an additive or multiplicative file; use ahp")
     if args.model is not None:
         model = Model(args.model)
     else:
@@ -181,32 +171,14 @@ def cmd_utility(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    problem = load_problem(args.file)
-    if problem.kind == "ahp":
-        raise ValidationError("weights expects an additive or multiplicative file; use ahp")
-    model = Model.PSIGMA if problem.kind == "additive" else Model.QSIGMA
-    result = _derive_for_file(problem, model, _resolve_sigma(args, problem))
-    _print_utility(result, _resolve_mag_weights(args, problem), args.json)
-    return 0
+    return cmd_utility(argparse.Namespace(**vars(args), model=Model.PSIGMA.value))
 
 
 def _comparison_payload(y: TrMPR, lad: UtilityVector) -> dict:
-    amm = amm_weights(y)
-    gmm = gmm_weights(y)
-    return {
-        "lad": {
-            "weights": [list(t.components) for t in lad.utilities],
-            "deviation": lad.objective,
-        },
-        "amm": {
-            "weights": [list(t.components) for t in amm],
-            "deviation": deviation(y, amm),
-        },
-        "gmm": {
-            "weights": [list(t.components) for t in gmm],
-            "deviation": deviation(y, gmm),
-        },
-    }
+    payload = {"lad": {"weights": _rows(lad.utilities), "deviation": lad.objective}}
+    for method, weights in (("amm", amm_weights(y)), ("gmm", gmm_weights(y))):
+        payload[method] = {"weights": _rows(weights), "deviation": deviation(y, weights)}
+    return payload
 
 
 def cmd_ahp(args) -> int:
@@ -226,11 +198,9 @@ def cmd_ahp(args) -> int:
     if args.json:
         payload = {
             "criteria_weights": list(hierarchy.criteria_weights),
-            "local_weights": [
-                [list(t.components) for t in vec.utilities] for vec in result.local_weights
-            ],
+            "local_weights": [_rows(vec.utilities) for vec in result.local_weights],
             "per_criterion_objectives": list(result.per_criterion_objectives),
-            "global_weights": [list(t.components) for t in result.global_weights],
+            "global_weights": _rows(result.global_weights),
             "magnitudes": list(result.magnitudes),
             "ranking": result.ranking.label(),
             "ranking_groups": [list(g) for g in result.ranking.groups],
@@ -266,7 +236,7 @@ def cmd_convert(args) -> int:
     if args.to == problem.kind:
         raise ValidationError(f"file already is {problem.kind}; nothing to convert")
     if args.to == "multiplicative":
-        converted: TrFPR | TrMPR = _under_flag("--scale", to_multiplicative, problem.relation, args.scale)
+        converted: TrFPR | TrMPR = located("--scale", to_multiplicative, problem.relation, args.scale)
     else:
         converted = to_additive(problem.relation)
     save_problem(args.out, converted)
@@ -275,6 +245,31 @@ def cmd_convert(args) -> int:
     else:
         print(f"wrote {args.to} problem to {args.out}")
     return 0
+
+
+_SIGMA = ("--sigma", dict(default=None, metavar="A,B,C,D", help="total-utility target"))
+
+# Subcommand name, help, handler and its options after ``file``, in --help order.
+_COMMANDS = (
+    ("validate", "check a problem file", cmd_validate, ()),
+    ("consistency", "transitivity diagnosis", cmd_consistency, ()),
+    ("utility", "derive ranking utilities", cmd_utility, (
+        ("--model", dict(choices=[m.value for m in Model if m is not Model.QSIGMA])),
+        _SIGMA,
+    )),
+    ("weights", "derive normalized fuzzy weights", cmd_weights, (_SIGMA,)),
+    ("ahp", "multi-criteria pipeline", cmd_ahp, (
+        _SIGMA,
+        ("--compare", dict(
+            action="store_true", help="also report arithmetic/geometric mean baselines"
+        )),
+    )),
+    ("convert", "switch between the two scales", cmd_convert, (
+        ("--to", dict(required=True, choices=["additive", "multiplicative"])),
+        ("--scale", dict(type=int, default=9, help="target ratio scale (default 9)")),
+        ("--out", dict(required=True, help="output path")),
+    )),
+)
 
 
 @functools.cache
@@ -293,40 +288,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fuzzy preference relations with LAD-derived utilities and weights",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common], help="check a problem file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("consistency", parents=[common], help="transitivity diagnosis")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_consistency)
-
-    p = sub.add_parser("utility", parents=[common], help="derive ranking utilities")
-    p.add_argument("file")
-    p.add_argument("--model", choices=[m.value for m in Model if m is not Model.QSIGMA])
-    p.add_argument("--sigma", default=None, metavar="A,B,C,D", help="total-utility target")
-    p.set_defaults(func=cmd_utility)
-
-    p = sub.add_parser("weights", parents=[common], help="derive normalized fuzzy weights")
-    p.add_argument("file")
-    p.add_argument("--sigma", default=None, metavar="A,B,C,D", help="total-utility target")
-    p.set_defaults(func=cmd_weights)
-
-    p = sub.add_parser("ahp", parents=[common], help="multi-criteria pipeline")
-    p.add_argument("file")
-    p.add_argument("--sigma", default=None, metavar="A,B,C,D", help="total-utility target")
-    p.add_argument(
-        "--compare", action="store_true", help="also report arithmetic/geometric mean baselines"
-    )
-    p.set_defaults(func=cmd_ahp)
-
-    p = sub.add_parser("convert", parents=[common], help="switch between the two scales")
-    p.add_argument("file")
-    p.add_argument("--to", required=True, choices=["additive", "multiplicative"])
-    p.add_argument("--scale", type=int, default=9, help="target ratio scale (default 9)")
-    p.add_argument("--out", required=True, help="output path")
-    p.set_defaults(func=cmd_convert)
+    for name, help_text, func, options in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("file")
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(func=func)
     return parser
 
 

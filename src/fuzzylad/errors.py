@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one helper that locates them."""
 
 
 class ValidationError(ValueError):
@@ -27,3 +27,11 @@ class IterationLimitError(RuntimeError):
 
 class ParseError(ValueError):
     """A problem file is structurally malformed."""
+
+
+def located(where: str, build, *args):
+    """``build(*args)``, with a ValidationError's message prefixed by ``where``."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+import numpy as np
+
+from .errors import ParseError, ValidationError, located
 from .group import convex_weights
 from .relations import NeutralElement, TrFPR, TrMPR
 from .trfn import MagWeights, TrFN
@@ -82,17 +84,18 @@ def parse_scalar(value, where: str) -> float:
     return result
 
 
-def _parse_trfn(value, where: str) -> TrFN:
+def _parse_components(value, where: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise ParseError(f"{where}: expected a 4-element array [a, b, c, d]")
-    comps = tuple(parse_scalar(v, where) for v in value)
-    try:
-        return TrFN(*comps)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    return [parse_scalar(v, where) for v in value]
 
 
-def _parse_matrix(value, n: int, where: str) -> tuple[tuple[TrFN, ...], ...]:
+def _parse_trfn(value, where: str) -> TrFN:
+    return located(where, TrFN, *_parse_components(value, where))
+
+
+def _parse_matrix(value, n: int, where: str) -> np.ndarray:
+    """The ``(n, n, 4)`` component array of a matrix field; the relation checks the entries."""
     if not isinstance(value, list) or len(value) != n:
         raise ParseError(f"{where}: expected {n} rows")
     rows = []
@@ -100,12 +103,12 @@ def _parse_matrix(value, n: int, where: str) -> tuple[tuple[TrFN, ...], ...]:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{where}: row {i + 1} must hold {n} entries")
         rows.append(
-            tuple(
-                _parse_trfn(entry, f"{where} entry ({i + 1},{j + 1})")
+            [
+                _parse_components(entry, f"{where} entry ({i + 1},{j + 1})")
                 for j, entry in enumerate(row)
-            )
+            ]
         )
-    return tuple(rows)
+    return np.array(rows)
 
 
 def _require(data: dict, key: str):
@@ -150,29 +153,20 @@ def load_problem(path) -> LoadedProblem:
         if not isinstance(raw, list) or len(raw) != 2:
             raise ParseError("mag_weights: expected a 2-element array [w1, w2]")
         w1, w2 = (parse_scalar(w, "mag_weights") for w in raw)
-        try:
-            mag_weights = MagWeights(w1, w2)
-        except ValidationError as exc:
-            raise ValidationError(f"mag_weights: {exc}") from exc
+        mag_weights = located("mag_weights", MagWeights, w1, w2)
 
     scale = None
     relation: TrFPR | TrMPR | None = None
     matrices = None
     criteria_weights = None
     if kind == "additive":
-        try:
-            neutral = NeutralElement.additive(neutral_value)
-        except ValidationError as exc:
-            raise ValidationError(f"neutral: {exc}") from exc
-        relation = TrFPR(_parse_matrix(_require(data, "matrix"), n, "matrix"), neutral)
+        neutral = located("neutral", NeutralElement.additive, neutral_value)
+        relation = TrFPR._of(_parse_matrix(_require(data, "matrix"), n, "matrix"), neutral)
     else:
         scale = _parse_int(_require(data, "scale"), "scale")
-        try:
-            neutral = NeutralElement.multiplicative(neutral_value, scale)
-        except ValidationError as exc:
-            raise ValidationError(f"neutral: {exc}") from exc
+        neutral = located("neutral", NeutralElement.multiplicative, neutral_value, scale)
         if kind == "multiplicative":
-            relation = TrMPR(_parse_matrix(_require(data, "matrix"), n, "matrix"), neutral)
+            relation = TrMPR._of(_parse_matrix(_require(data, "matrix"), n, "matrix"), neutral)
         else:
             raw_matrices = _require(data, "matrices")
             if not isinstance(raw_matrices, list) or not raw_matrices:
@@ -180,10 +174,7 @@ def load_problem(path) -> LoadedProblem:
             parsed = []
             for k, raw in enumerate(raw_matrices):
                 where = f"matrix {k + 1}"
-                try:
-                    parsed.append(TrMPR(_parse_matrix(raw, n, where), neutral))
-                except ValidationError as exc:
-                    raise ValidationError(f"{where}: {exc}") from exc
+                parsed.append(located(where, TrMPR._of, _parse_matrix(raw, n, where), neutral))
             matrices = tuple(parsed)
             raw_weights = _require(data, "criteria_weights")
             if not isinstance(raw_weights, list) or len(raw_weights) != len(matrices):

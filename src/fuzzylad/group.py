@@ -52,6 +52,14 @@ def weighted_sum(weights: Sequence[float], arrays: Sequence[np.ndarray]) -> np.n
     return total
 
 
+def combine_utilities(
+    weights: Sequence[float], vectors: Sequence[UtilityVector]
+) -> tuple[TrFN, ...]:
+    """Componentwise ``sum_k weights[k] * vectors[k]`` of equally long utility vectors."""
+    parts = [np.array([u.components for u in vec.utilities]) for vec in vectors]
+    return tuple(TrFN(*row) for row in weighted_sum(weights, parts).tolist())
+
+
 @dataclass(frozen=True)
 class GroupWeights:
     """Non-negative expert weights summing to one."""
@@ -109,8 +117,7 @@ def aggregate_utilities(
     for e, vec in enumerate(vectors):
         if vec.n != n:
             raise ValidationError(f"vector {e + 1} has length {vec.n}, expected {n}")
-    parts = [np.array([u.components for u in vec.utilities]) for vec in vectors]
-    combined = tuple(TrFN(*row) for row in weighted_sum(weights, parts).tolist())
+    combined = combine_utilities(weights, vectors)
     objective = evaluate_objective(matrix, combined)
     return UtilityVector(combined, objective, vectors[0].model)
 

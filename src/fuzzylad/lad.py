@@ -79,6 +79,11 @@ class Model(str, Enum):
     PSIGMA = "psigma"
     QSIGMA = "qsigma"
 
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """``(lower_a, upper_d)``: the model's bounds on every utility, infinite when unstated."""
+        return (-np.inf if self is Model.P0 else 0.0), (1.0 if self is Model.PUNIT else np.inf)
+
 
 @dataclass(frozen=True)
 class UtilityVector:
@@ -97,19 +102,18 @@ class UtilityVector:
                 raise ValidationError(f"utility {k + 1} is not a trapezoidal number")
         if self.objective < 0.0:
             raise ValidationError(f"objective must be non-negative, got {self.objective}")
-        if self.model in (Model.P, Model.PSIGMA, Model.QSIGMA, Model.PUNIT):
-            for k, u in enumerate(self.utilities):
-                if u.a < 0.0:
-                    raise ValidationError(
-                        f"model {self.model.value} requires non-negative utilities, "
-                        f"utility {k + 1} = {u}"
-                    )
-        if self.model is Model.PUNIT:
-            for k, u in enumerate(self.utilities):
-                if u.d > 1.0:
-                    raise ValidationError(
-                        f"model punit keeps utilities inside [0, 1], utility {k + 1} = {u}"
-                    )
+        lower_a, upper_d = self.model.bounds
+        for k, u in enumerate(self.utilities):
+            if u.a < lower_a:
+                raise ValidationError(
+                    f"model {self.model.value} requires non-negative utilities, "
+                    f"utility {k + 1} = {u}"
+                )
+        for k, u in enumerate(self.utilities):
+            if u.d > upper_d:
+                raise ValidationError(
+                    f"model {self.model.value} keeps utilities inside [0, 1], utility {k + 1} = {u}"
+                )
 
     @property
     def n(self) -> int:
@@ -197,8 +201,7 @@ def build_lp(x: TrFPR, model: Model, sigma: TrFN | None = None) -> LinearProgram
     else:
         a_eq, b_eq = np.zeros((0, nu + nv)), np.zeros(0)
 
-    lower_a = 0.0 if model in (Model.P, Model.PUNIT, Model.PSIGMA) else -np.inf
-    upper_d = 1.0 if model is Model.PUNIT else np.inf
+    lower_a, upper_d = model.bounds
     utility = ((lower_a, np.inf), (-np.inf, np.inf), (-np.inf, np.inf), (-np.inf, upper_d))
     bounds = utility * n + ((0.0, np.inf),) * nv
     return LinearProgram(c, a_ub, b_ub, a_eq, b_eq, bounds)
@@ -219,10 +222,8 @@ def _extract_utilities(x_arr: np.ndarray, n: int, model: Model) -> tuple[TrFN, .
     if np.max(comps[:, :-1] - comps[:, 1:]) > 1e-8:
         raise ArithmeticError("solver returned strongly unordered utility components")
     comps = np.maximum.accumulate(_snap(comps), axis=1)
-    if model in (Model.P, Model.PSIGMA, Model.QSIGMA, Model.PUNIT):
-        comps = np.maximum(comps, 0.0)
-    if model is Model.PUNIT:
-        comps = np.minimum(comps, 1.0)
+    lower_a, upper_d = model.bounds
+    comps = np.minimum(np.maximum(comps, lower_a), upper_d)
     return tuple(TrFN(*row) for row in comps)
 
 

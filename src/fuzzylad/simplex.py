@@ -18,6 +18,15 @@ constraint rows are written straight into it and flipped in place to a
 non-negative right-hand side, and both cost rows are reduced from its rows.
 The ratio test looks only at rows with a positive pivot-column entry, and a
 pivot updates only the columns its row touches (see ``_pivot``).
+
+Five module constants bound the solver, and ``solve`` takes no options.
+``FEAS_TOL`` is the phase-1 residual that still counts as feasible; ten
+times it, scaled by the right-hand side, is the constraint violation the
+answer may show.  ``PIVOT_TOL`` is the smallest accepted pivot element and
+``COST_TOL`` the reduced cost a column must fall below to enter.
+``MAX_PIVOTS`` caps the pivots of both phases together; past it the solver
+raises IterationLimitError rather than return a bad answer.  ``BLAND_AFTER``
+is the number of non-improving pivots in a row before Bland's rule takes over.
 """
 
 from __future__ import annotations
@@ -30,6 +39,12 @@ import numpy as np
 from .errors import IterationLimitError, ValidationError
 
 __all__ = ["LinearProgram", "LpSolution", "LpStatus", "solve"]
+
+FEAS_TOL = 1e-9
+PIVOT_TOL = 1e-10
+COST_TOL = 1e-9
+MAX_PIVOTS = 20000
+BLAND_AFTER = 50
 
 
 class LpStatus(Enum):
@@ -138,7 +153,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     pivot_row[cols] = values
 
 
-def _iterate(T, basis, pivot_tol, iters_left, bland_after, cost_tol=1e-9):
+def _iterate(T, basis, iters_left):
     """Run simplex pivots on tableau ``T`` until optimal or unbounded.
 
     The bottom row holds reduced costs with ``T[-1, -1] == -objective``.
@@ -153,16 +168,16 @@ def _iterate(T, basis, pivot_tol, iters_left, bland_after, cost_tol=1e-9):
     rhs = T[:m, -1]
     while True:
         if bland:
-            negatives = np.flatnonzero(reduced < -cost_tol)
+            negatives = np.flatnonzero(reduced < -COST_TOL)
             if negatives.size == 0:
                 return "optimal", pivots
             col = int(negatives[0])
         else:
             col = int(reduced.argmin())
-            if reduced[col] >= -cost_tol:
+            if reduced[col] >= -COST_TOL:
                 return "optimal", pivots
         column = T[:m, col]
-        eligible = (column > pivot_tol).nonzero()[0]
+        eligible = (column > PIVOT_TOL).nonzero()[0]
         if not eligible.size:
             return "unbounded", pivots
         ratios = np.maximum(rhs[eligible], 0.0) / column[eligible]
@@ -181,13 +196,11 @@ def _iterate(T, basis, pivot_tol, iters_left, bland_after, cost_tol=1e-9):
                 stalled = 0
             else:
                 stalled += 1
-                if stalled > bland_after:
+                if stalled > BLAND_AFTER:
                     bland = True
 
 
-def _check_feasible(
-    lp: LinearProgram, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, feas_tol: float
-) -> None:
+def _check_feasible(lp: LinearProgram, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     worst = 0.0
     if lp.a_eq.shape[0]:
         worst = max(worst, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
@@ -202,7 +215,7 @@ def _check_feasible(
         float(np.max(np.abs(lp.b_ub))) if lp.b_ub.size else 0.0,
         float(np.max(np.abs(lp.b_eq))) if lp.b_eq.size else 0.0,
     )
-    if worst > feas_tol * scale * 10.0:
+    if worst > FEAS_TOL * scale * 10.0:
         raise ArithmeticError(
             f"simplex returned a point violating constraints by {worst:.3g}"
         )
@@ -222,25 +235,8 @@ def _subtract_rows(T: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> None
         del block  # before the next gather
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    feas_tol: float = 1e-9,
-    pivot_tol: float = 1e-10,
-    max_iters: int = 20000,
-    bland_after: int = 50,
-) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp`` to optimality, or classify it infeasible or unbounded.
-
-    Args:
-        lp: the program to solve.
-        feas_tol: residual level below which phase 1 counts as feasible and
-            the final point counts as satisfying every constraint.
-        pivot_tol: smallest tableau entry accepted as a pivot element.
-        max_iters: total pivot budget across both phases; exceeding it
-            raises IterationLimitError rather than returning a bad answer.
-        bland_after: number of consecutive non-improving pivots tolerated
-            before switching to Bland's anti-cycling rule.
 
     Returns:
         LpSolution with status OPTIMAL (and a primal-feasible ``x``),
@@ -300,16 +296,16 @@ def solve(
     total_pivots = 0
 
     if n_art:
-        status, total_pivots = _iterate(T, basis, pivot_tol, max_iters, bland_after)
+        status, total_pivots = _iterate(T, basis, MAX_PIVOTS)
         if status != "optimal":
             raise ArithmeticError("phase 1 objective is bounded below; solver defect")
-        if -T[-1, -1] > feas_tol:
+        if -T[-1, -1] > FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, None, None, total_pivots)
         # Remove leftover artificials: pivot them onto a real column when
         # possible, otherwise the row is redundant and gets dropped.
         keep = np.ones(m + 1, dtype=bool)
         for i in np.flatnonzero(basis >= art_start):
-            candidates = np.flatnonzero(np.abs(T[i, :art_start]) > pivot_tol)
+            candidates = np.flatnonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)
             if candidates.size:
                 _pivot(T, i, int(candidates[0]))
                 basis[i] = int(candidates[0])
@@ -330,7 +326,7 @@ def solve(
     weights = T[-1, basis]
     rows = np.flatnonzero(weights)
     _subtract_rows(T, rows, weights[rows])
-    status, pivots = _iterate(T, basis, pivot_tol, max_iters - total_pivots, bland_after)
+    status, pivots = _iterate(T, basis, MAX_PIVOTS - total_pivots)
     total_pivots += pivots
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, total_pivots)
@@ -341,5 +337,5 @@ def solve(
     # Only a free variable gets two terms, on a zero base, so the order of
     # the additions cannot change a bit of the result.
     np.add.at(x, var, sign * x_std[:n_std])
-    _check_feasible(lp, x, lo, hi, feas_tol)
+    _check_feasible(lp, x, lo, hi)
     return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), total_pivots)

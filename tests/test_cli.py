@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: output text, JSON payloads, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +405,19 @@ class TestExitCodes:
         assert out == ""
         assert err == "invalid: criteria_weights[0]: 'NaN' is not a finite real number\n"
 
+    def test_unordered_ahp_entry_exits_2_located_once(self, capsys, tmp_path):
+        doc = json.loads(Path(PORTFOLIO).read_text())
+        doc["matrices"][1][0][1] = [4, 3, 2, 5]
+        path = tmp_path / "unordered.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "ahp", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "invalid: matrix 2: entry (1,2): components must satisfy a <= b <= c <= d, "
+            "got (4.0, 3.0, 2.0, 5.0)\n"
+        )
+
     def test_overflowing_power_exits_1_with_its_location(self, capsys, tmp_path):
         doc = json.loads(Path(PORTFOLIO).read_text())
         doc["criteria_weights"][0] = "9^1000"
@@ -445,3 +461,18 @@ class TestExitCodes:
         assert out == ""
         assert err == "invalid: --scale: scale must be an integer >= 2, got 1\n"
         assert not out_path.exists()
+
+
+def test_the_package_imports_only_numpy_at_runtime():
+    # scipy and hypothesis are test and benchmark oracles, not dependencies.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = (
+        "import sys, fuzzylad, fuzzylad.cli; "
+        "print(sorted({'scipy', 'hypothesis', 'pytest'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"

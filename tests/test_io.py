@@ -210,6 +210,49 @@ class TestLoadProblem:
             load_problem(write_json(tmp_path, doc))
 
 
+UNORDERED = r"components must satisfy a <= b <= c <= d, got \(4\.0, 3\.0, 2\.0, 5\.0\)$"
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("example-additive.json", ("neutral",), [0.3, 0.5, 0.5, 0.6],
+         r"^neutral: neutral element T\(0\.3, 0\.5, 0\.5, 0\.6\) is not a fixed point of negation"),
+        ("example-additive.json", ("neutral",), [0.6, 0.5, 0.5, 0.4],
+         r"^neutral: components must satisfy a <= b <= c <= d"),
+        ("example-ratio.json", ("neutral",), [0.5, 1, 1, 3],
+         r"^neutral: neutral element T\(0\.5, 1\.0, 1\.0, 3\.0\) is not a fixed point of inversion"),
+        ("example-additive.json", ("mag_weights",), [0.5, 0.5],
+         r"^mag_weights: magnitude weights must satisfy 2\*\(w1\+w2\) = 1"),
+        ("example-ratio.json", ("sigma",), [1.2, 1.1, 0.9, 0.8],
+         r"^sigma: components must satisfy a <= b <= c <= d"),
+        ("example-additive.json", ("matrix", 0, 1), [4, 3, 2, 5], r"^entry \(1,2\): " + UNORDERED),
+        ("example-ratio.json", ("matrix", 0, 1), [4, 3, 2, 5], r"^entry \(1,2\): " + UNORDERED),
+        ("portfolio.json", ("matrices", 1, 0, 1), [4, 3, 2, 5],
+         r"^matrix 2: entry \(1,2\): " + UNORDERED),
+    ],
+    ids=["additive neutral", "unordered neutral", "multiplicative neutral", "mag_weights",
+         "sigma", "additive entry", "multiplicative entry", "ahp entry"],
+)
+def test_validation_errors_carry_their_full_location(tmp_path, name, path, value, message):
+    doc = json.loads((PROBLEMS / name).read_text())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValidationError, match=message):
+        load_problem(write_json(tmp_path, doc))
+
+
+def test_unparsable_entry_is_reported_before_an_earlier_unordered_one(tmp_path):
+    doc = additive_doc()
+    doc["matrix"][0][1] = [4, 3, 2, 5]
+    doc["matrix"][2][0][0] = "one half"
+    with pytest.raises(ParseError, match=r"^matrix entry \(3,1\): cannot parse 'one half'"):
+        load_problem(write_json(tmp_path, doc))
+
+
 class TestSaveProblem:
     def test_additive_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(61)

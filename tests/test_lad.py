@@ -1,12 +1,10 @@
 """Deviation objective, LP assembly, and utility derivation."""
 
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
 
-import fuzzylad.lad
 from fuzzylad import (
     MAX_LP_ALTERNATIVES,
     IterationLimitError,
@@ -28,6 +26,7 @@ from fuzzylad import (
     magnitude,
     rank,
     shift_normalize,
+    simplex,
     to_additive,
     to_multiplicative,
 )
@@ -275,7 +274,7 @@ class TestDeriveUtility:
                     assert mags[i] - mags[j] == pytest.approx(pair_gap, abs=1e-7)
 
     def test_pivot_budget_error_names_n_and_the_model(self, base_relation, monkeypatch):
-        monkeypatch.setattr(fuzzylad.lad, "solve", partial(fuzzylad.lad.solve, max_iters=2))
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 2)
         with pytest.raises(IterationLimitError, match=r"^n = 3, model punit: simplex pivot budget"):
             derive_utility(base_relation, Model.PUNIT)
 

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fuzzylad import IterationLimitError, ValidationError
+from fuzzylad import IterationLimitError, ValidationError, simplex
 from fuzzylad.simplex import LinearProgram, LpStatus, _pivot, _subtract_rows, solve
 
 N_ORACLE_TRIALS = 100
@@ -270,14 +270,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match=rf"^invalid bounds \({lo}, {hi}\) for variable 0$"):
             LinearProgram.build(c=[1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=[bound])
 
-    def test_iteration_budget_is_enforced(self):
+    def test_iteration_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
         lp = LinearProgram.build(
             c=[-1.0, -1.0, -1.0],
             a_ub=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
             b_ub=[1.0, 1.0, 1.0],
         )
         with pytest.raises(IterationLimitError):
-            solve(lp, max_iters=1)
+            solve(lp)
 
 
 class TestOracleAgreement:

@@ -8,11 +8,12 @@ every model ``build_lp`` states, continuous and lattice entries; lattice
 entries make ratio ties and degenerate pivots common), a few random
 box-bounded instances from ``test_simplex``, and small programs for the
 paths those never reach: Bland's rule (a cycling instance, and LAD programs
-solved with ``bland_after=0``), infeasible and unbounded programs, the
-cleanup of an artificial left basic after phase 1, the drop of a redundant
-row, and an exhausted pivot budget.  Any change to the pivot sequence or to
-a single bit of an answer fails here.  When such a change is intended,
-regenerate with
+solved with ``BLAND_AFTER`` patched to 0), infeasible and unbounded
+programs, the cleanup of an artificial left basic after phase 1, the drop of
+a redundant row, and an exhausted pivot budget (``MAX_PIVOTS`` patched to
+1).  ``solve`` takes no options, so those runs patch the module constants.
+Any change to the pivot sequence or to a single bit of an answer fails
+here.  When such a change is intended, regenerate with
 
     PYTHONPATH=src:tests python tests/test_solver_golden.py
 
@@ -21,16 +22,18 @@ and review the diff of ``tests/solver_golden.json`` like any other change.
 
 import hashlib
 import json
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from fuzzylad import NeutralElement, TrFN, TrFPR
+from fuzzylad import NeutralElement, TrFN, TrFPR, simplex
 from fuzzylad.lad import Model, build_lp
 from fuzzylad.errors import IterationLimitError
-from fuzzylad.simplex import LinearProgram, solve
+from fuzzylad.simplex import LinearProgram
 from test_simplex import random_boxed_lp
 
 GOLDEN = Path(__file__).resolve().parent / "solver_golden.json"
@@ -41,8 +44,8 @@ BOXED_SEEDS = (3, 11, 17, 29, 41, 53)
 BLAND_LAD = ((3, Model.P0, False), (3, Model.PSIGMA, True), (4, Model.PUNIT, False),
              (4, Model.P, True), (5, Model.P, False))
 # Small programs for the solver paths the LAD and box-bounded programs never
-# reach: name, then the keyword arguments of ``LinearProgram.build`` and of
-# ``solve``.
+# reach: name, then the keyword arguments of ``LinearProgram.build`` and the
+# solver constants patched for the run.
 SMALL_PROGRAMS = (
     ("cycling instance, Bland's rule", dict(
         c=[-0.75, 150.0, -0.02, 6.0],
@@ -67,7 +70,7 @@ SMALL_PROGRAMS = (
     ("pivot budget exhausted", dict(
         c=[-1.0, -1.0, -1.0],
         a_ub=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], b_ub=[1.0, 1.0, 1.0]),
-        {"max_iters": 1}),
+        {"MAX_PIVOTS": 1}),
 )
 
 
@@ -105,7 +108,7 @@ def lad_name(n: int, model: Model, lattice: bool) -> str:
 
 def golden_programs() -> list[tuple[str, partial, dict]]:
     """``(name, make, options)``; ``make()`` builds the program afresh and
-    ``options`` are the keyword arguments it is solved with."""
+    ``options`` maps solver constants to the values it is solved with."""
     programs = []
     for n in range(1, 8):
         for model in MODELS:
@@ -117,15 +120,16 @@ def golden_programs() -> list[tuple[str, partial, dict]]:
     for n, model, lattice in BLAND_LAD:
         make = partial(lad_program, lad_seed(n, model, lattice), n, lattice, model)
         programs.append((f"{lad_name(n, model, lattice)} bland_after=0", make,
-                         {"bland_after": 0}))
+                         {"BLAND_AFTER": 0}))
     for name, blocks, options in SMALL_PROGRAMS:
         programs.append((name, partial(LinearProgram.build, **blocks), options))
     return programs
 
 
-def fingerprint(lp, **options) -> dict:
+def fingerprint(lp, **constants) -> dict:
     try:
-        sol = solve(lp, **options)
+        with mock.patch.multiple(simplex, **constants) if constants else nullcontext():
+            sol = simplex.solve(lp)
     except IterationLimitError as exc:
         return {"error": str(exc)}
     return {
