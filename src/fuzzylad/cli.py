@@ -3,7 +3,8 @@
 Subcommands: ``validate``, ``consistency``, ``utility``, ``weights``,
 ``ahp``, ``convert``.  Every command reads one JSON problem file, never
 mutates it (``convert`` writes to ``--out``), and is deterministic: the
-same file and flags produce byte-identical output.
+same file and flags produce byte-identical output.  Each takes only the
+options it reads, and ``main`` loads the file and checks its kind for it.
 
 Exit codes: 0 success, 1 parse error, 2 validation failure, 3 the
 optimization model is infeasible.
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .ahp import AhpProblem, amm_weights, deviation, gmm_weights, run_ahp
 from .errors import InfeasibleError, ParseError, SizeLimitError, ValidationError, located
-from .files import LoadedProblem, load_problem, parse_scalar, save_problem
+from .files import KINDS, LoadedProblem, load_problem, parse_scalar, save_problem
 from .lad import Model, UtilityVector, derive_utility, derive_weights
 from .relations import (
     DEFAULT_CONSISTENCY_TOL,
@@ -66,7 +67,7 @@ def _resolve_mag_weights(args, problem: LoadedProblem) -> MagWeights:
 
 
 def _resolve_sigma(args, problem: LoadedProblem) -> TrFN | None:
-    if getattr(args, "sigma", None) is not None:
+    if args.sigma is not None:
         return _parse_flag("--sigma", args.sigma, TrFN, 4, "four comma-separated components")
     return problem.sigma
 
@@ -107,8 +108,7 @@ def _print_utility(result: UtilityVector, mag_weights: MagWeights, as_json: bool
     print(f"ranking: {ranking.label()}")
 
 
-def cmd_validate(args) -> int:
-    problem = load_problem(args.file)
+def cmd_validate(args, problem: LoadedProblem) -> int:
     if args.json:
         _print_json({"valid": True, "kind": problem.kind, "n": problem.n})
     else:
@@ -119,16 +119,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_consistency(args) -> int:
-    problem = load_problem(args.file)
-    tol = args.tol if args.tol is not None else DEFAULT_CONSISTENCY_TOL
-    if problem.kind == "additive":
-        check = check_consistency
-    elif problem.kind == "multiplicative":
-        check = check_consistency_mult
-    else:
-        raise ValidationError("consistency expects an additive or multiplicative file")
-    report = located("--tol", check, problem.relation, tol)
+def cmd_consistency(args, problem: LoadedProblem) -> int:
+    check = check_consistency if problem.kind == "additive" else check_consistency_mult
+    report = located("--tol", check, problem.relation, args.tol)
     i, j, k = report.worst_triple
     if args.json:
         _print_json(
@@ -155,23 +148,16 @@ def _derive_for_file(problem: LoadedProblem, model: Model, sigma: TrFN | None) -
     return derive_utility(to_additive(problem.relation), model)
 
 
-def cmd_utility(args) -> int:
-    problem = load_problem(args.file)
-    if problem.kind == "ahp":
-        raise ValidationError(f"{args.command} expects an additive or multiplicative file; use ahp")
-    if args.model is not None:
+def cmd_utility(args, problem: LoadedProblem, model: Model | None = None) -> int:
+    if model is None and args.model is not None:
         model = Model(args.model)
-    else:
+    elif model is None:
         model = Model.PUNIT if problem.kind == "additive" else Model.P
     if model is Model.PSIGMA and problem.kind == "multiplicative":
         model = Model.QSIGMA
     result = _derive_for_file(problem, model, _resolve_sigma(args, problem))
     _print_utility(result, _resolve_mag_weights(args, problem), args.json)
     return 0
-
-
-def cmd_weights(args) -> int:
-    return cmd_utility(argparse.Namespace(**vars(args), model=Model.PSIGMA.value))
 
 
 def _comparison_payload(y: TrMPR, lad: UtilityVector) -> dict:
@@ -181,10 +167,7 @@ def _comparison_payload(y: TrMPR, lad: UtilityVector) -> dict:
     return payload
 
 
-def cmd_ahp(args) -> int:
-    problem = load_problem(args.file)
-    if problem.kind != "ahp":
-        raise ValidationError("ahp expects a file of kind ahp")
+def cmd_ahp(args, problem: LoadedProblem) -> int:
     sigma = _require_sigma(_resolve_sigma(args, problem))
     mag_weights = _resolve_mag_weights(args, problem)
     hierarchy = AhpProblem(problem.criteria_weights, problem.matrices, sigma, mag_weights)
@@ -229,10 +212,7 @@ def cmd_ahp(args) -> int:
     return 0
 
 
-def cmd_convert(args) -> int:
-    problem = load_problem(args.file)
-    if problem.kind == "ahp":
-        raise ValidationError("convert expects an additive or multiplicative file")
+def cmd_convert(args, problem: LoadedProblem) -> int:
     if args.to == problem.kind:
         raise ValidationError(f"file already is {problem.kind}; nothing to convert")
     if args.to == "multiplicative":
@@ -247,24 +227,43 @@ def cmd_convert(args) -> int:
     return 0
 
 
-_SIGMA = ("--sigma", dict(default=None, metavar="A,B,C,D", help="total-utility target"))
+_JSON = ("--json", dict(action="store_true", help="emit machine-readable JSON"))
+_MAG_WEIGHTS = ("--mag-weights", dict(
+    metavar="W1,W2", help="magnitude weights, must satisfy 2*(w1+w2) = 1"))
+_SIGMA = ("--sigma", dict(metavar="A,B,C,D", help="total-utility target"))
+_FLAT = ("additive", "multiplicative")
 
-# Subcommand name, help, handler and its options after ``file``, in --help order.
+# Subcommand name, help, handler, the file kinds it takes with the refusal
+# of any other, and its options in --help order.
 _COMMANDS = (
-    ("validate", "check a problem file", cmd_validate, ()),
-    ("consistency", "transitivity diagnosis", cmd_consistency, ()),
-    ("utility", "derive ranking utilities", cmd_utility, (
+    ("validate", "check a problem file", cmd_validate, KINDS, None, (_JSON,)),
+    ("consistency", "transitivity diagnosis", cmd_consistency,
+     _FLAT, "consistency expects an additive or multiplicative file", (
+        _JSON,
+        ("--tol", dict(type=float, default=DEFAULT_CONSISTENCY_TOL, help="consistency tolerance")),
+    )),
+    ("utility", "derive ranking utilities", cmd_utility,
+     _FLAT, "utility expects an additive or multiplicative file; use ahp", (
+        _JSON,
+        _MAG_WEIGHTS,
         ("--model", dict(choices=[m.value for m in Model if m is not Model.QSIGMA])),
         _SIGMA,
     )),
-    ("weights", "derive normalized fuzzy weights", cmd_weights, (_SIGMA,)),
-    ("ahp", "multi-criteria pipeline", cmd_ahp, (
+    ("weights", "derive normalized fuzzy weights",
+     functools.partial(cmd_utility, model=Model.PSIGMA),
+     _FLAT, "weights expects an additive or multiplicative file; use ahp",
+     (_JSON, _MAG_WEIGHTS, _SIGMA)),
+    ("ahp", "multi-criteria pipeline", cmd_ahp, ("ahp",), "ahp expects a file of kind ahp", (
+        _JSON,
+        _MAG_WEIGHTS,
         _SIGMA,
         ("--compare", dict(
             action="store_true", help="also report arithmetic/geometric mean baselines"
         )),
     )),
-    ("convert", "switch between the two scales", cmd_convert, (
+    ("convert", "switch between the two scales", cmd_convert,
+     _FLAT, "convert expects an additive or multiplicative file", (
+        _JSON,
         ("--to", dict(required=True, choices=["additive", "multiplicative"])),
         ("--scale", dict(type=int, default=9, help="target ratio scale (default 9)")),
         ("--out", dict(required=True, help="output path")),
@@ -274,37 +273,28 @@ _COMMANDS = (
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--tol", type=float, default=None, help="consistency tolerance")
-    common.add_argument(
-        "--mag-weights",
-        default=None,
-        metavar="W1,W2",
-        help="magnitude weights, must satisfy 2*(w1+w2) = 1",
-    )
     parser = argparse.ArgumentParser(
         prog="fuzzylad",
         description="Fuzzy preference relations with LAD-derived utilities and weights",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, options in _COMMANDS:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    for name, help_text, func, kinds, refusal, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
         for flag, settings in options:
             p.add_argument(flag, **settings)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, kinds=kinds, refusal=refusal)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        problem = load_problem(args.file)
+        if problem.kind not in args.kinds:
+            raise ValidationError(args.refusal)
+        return args.func(args, problem)
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SizeLimitError as exc:

@@ -48,7 +48,6 @@ class LoadedProblem:
     kind: str
     n: int
     scale: int | None
-    neutral: NeutralElement
     relation: TrFPR | TrMPR | None
     matrices: tuple[TrMPR, ...] | None
     criteria_weights: tuple[float, ...] | None
@@ -187,7 +186,6 @@ def load_problem(path) -> LoadedProblem:
         kind=kind,
         n=n,
         scale=scale,
-        neutral=neutral,
         relation=relation,
         matrices=matrices,
         criteria_weights=criteria_weights,

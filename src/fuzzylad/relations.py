@@ -112,30 +112,22 @@ class NeutralElement:
         if self.kind == "additive":
             if self.scale is not None:
                 raise ValidationError("additive neutral elements carry no scale")
-            if t.a < -ADDITIVE_TOL or t.d > 1.0 + ADDITIVE_TOL:
-                raise ValidationError(f"additive neutral element {t} leaves [0, 1]")
-            if not (_close_abs(t.a + t.d, 1.0) and _close_abs(t.b + t.c, 1.0)):
-                raise ValidationError(
-                    f"neutral element {t} is not a fixed point of negation "
-                    f"(needs a + d = 1 and b + c = 1)"
-                )
+            fixed = _close_abs(t.a + t.d, 1.0) and _close_abs(t.b + t.c, 1.0)
+            op, mirror = "+", "negation"
         elif self.kind == "multiplicative":
-            if not isinstance(self.scale, int) or isinstance(self.scale, bool):
-                raise ValidationError("multiplicative neutral elements need an integer scale")
-            if self.scale < 2:
-                raise ValidationError(f"scale must be an integer >= 2, got {self.scale}")
-            if t.a <= 0.0:
-                raise ValidationError(f"multiplicative neutral element {t} must be positive")
-            lo, hi, span = _bounds(self.scale)
-            if t.a < lo or t.d > hi:
-                raise ValidationError(f"neutral element {t} leaves {span}")
-            if not (_close_rel(t.a * t.d, 1.0) and _close_rel(t.b * t.c, 1.0)):
-                raise ValidationError(
-                    f"neutral element {t} is not a fixed point of inversion "
-                    f"(needs a * d = 1 and b * c = 1)"
-                )
+            _check_scale(self.scale)
+            fixed = _close_rel(t.a * t.d, 1.0) and _close_rel(t.b * t.c, 1.0)
+            op, mirror = "*", "inversion"
         else:
             raise ValidationError(f"unknown neutral element kind {self.kind!r}")
+        lo, hi, span = _bounds(self.scale)
+        if t.a < lo or t.d > hi:
+            raise ValidationError(f"neutral element {t} leaves {span}")
+        if not fixed:
+            raise ValidationError(
+                f"neutral element {t} is not a fixed point of {mirror} "
+                f"(needs a {op} d = 1 and b {op} c = 1)"
+            )
 
     @classmethod
     def additive(cls, value: TrFN) -> "NeutralElement":
@@ -267,8 +259,9 @@ def phi(x: float, m: int) -> float:
     """Map a unit-interval score to the ratio scale: ``m ** (2x - 1)``."""
     _check_scale(m)
     x = float(x)
-    if x < -ADDITIVE_TOL or x > 1.0 + ADDITIVE_TOL:
-        raise ValidationError(f"phi expects a value in [0, 1], got {x}")
+    lo, hi, span = _bounds(None)
+    if not lo <= x <= hi:
+        raise ValidationError(f"phi expects a value in {span}, got {x}")
     x = min(max(x, 0.0), 1.0)
     return float(m) ** (2.0 * x - 1.0)
 
@@ -277,10 +270,9 @@ def phi_inv(y: float, m: int) -> float:
     """Inverse map, ``1/2 + log_m(y) / 2``, clamped against rounding dust."""
     _check_scale(m)
     y = float(y)
-    lo = (1.0 / m) * (1.0 - MULTIPLICATIVE_RTOL)
-    hi = m * (1.0 + MULTIPLICATIVE_RTOL)
-    if y < lo or y > hi:
-        raise ValidationError(f"phi_inv expects a value in [1/{m}, {m}], got {y}")
+    lo, hi, span = _bounds(m)
+    if not lo <= y <= hi:
+        raise ValidationError(f"phi_inv expects a value in {span}, got {y}")
     x = 0.5 + 0.5 * math.log(y) / math.log(m)
     return min(max(x, 0.0), 1.0)
 
@@ -293,7 +285,6 @@ def _each(fn, cells: np.ndarray, m: int) -> np.ndarray:
 
 def to_multiplicative(x: TrFPR, m: int) -> TrMPR:
     """Map every entry of an additive relation to the scale ``[1/m, m]``."""
-    _check_scale(m)
     neutral = NeutralElement.multiplicative(TrFN(*(phi(v, m) for v in x.neutral.value)), m)
     return TrMPR._of(_each(phi, x.array, m), neutral)
 
@@ -394,7 +385,8 @@ def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
     u = np.array([t.components for t in utilities])
     cells = u[:, None, :] + (1.0 - u[None, :, ::-1]) - np.array(t0.components)
     off_diagonal = ~np.eye(n, dtype=bool)[:, :, None]
-    hit = _first(off_diagonal & ((cells < -ADDITIVE_TOL) | (cells > 1.0 + ADDITIVE_TOL)))
+    lo, hi, _ = _bounds(None)
+    hit = _first(off_diagonal & ((cells < lo) | (cells > hi)))
     if hit:
         i, j, c = hit
         raise OutOfUnitIntervalError(

@@ -204,7 +204,7 @@ def rank(
     """
     if not values:
         raise ValidationError("cannot rank an empty sequence")
-    if tie_tol < 0.0:
+    if not tie_tol >= 0.0:
         raise ValidationError(f"tie tolerance must be non-negative, got {tie_tol}")
     mags = tuple(magnitude(t, weights) for t in values)
     order = sorted(range(len(values)), key=lambda i: (-mags[i], i))

@@ -463,6 +463,58 @@ class TestExitCodes:
         assert not out_path.exists()
 
 
+# The flags a subcommand does not read: each is a usage error there.
+UNREAD_FLAGS = [
+    ("validate", [ADDITIVE], "--tol", "0.1"),
+    ("validate", [ADDITIVE], "--mag-weights", "0.25,0.25"),
+    ("convert", [ADDITIVE, "--to", "multiplicative", "--out", "unused.json"], "--tol", "0.1"),
+    ("convert", [ADDITIVE, "--to", "multiplicative", "--out", "unused.json"],
+     "--mag-weights", "0.25,0.25"),
+    ("consistency", [ADDITIVE], "--mag-weights", "0.25,0.25"),
+    ("utility", [ADDITIVE], "--tol", "0.1"),
+    ("weights", [ADDITIVE, "--sigma", "0.8,0.9,1.1,1.2"], "--tol", "0.1"),
+    ("ahp", [PORTFOLIO], "--tol", "0.1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, rest, flag, value", UNREAD_FLAGS, ids=[f"{c}{f}" for c, _, f, _ in UNREAD_FLAGS]
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
+    capsys, tmp_path, monkeypatch, command, rest, flag, value
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([command, *rest, flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("validate", {"--json"}),
+        ("consistency", {"--json", "--tol"}),
+        ("utility", {"--json", "--mag-weights", "--model", "--sigma"}),
+        ("weights", {"--json", "--mag-weights", "--sigma"}),
+        ("ahp", {"--json", "--mag-weights", "--sigma", "--compare"}),
+        ("convert", {"--json", "--to", "--scale", "--out"}),
+    ],
+)
+def test_each_subcommand_help_lists_only_the_options_it_reads(capsys, command, options):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: fuzzylad {command} ")
+    listed = set(re.findall(r"^  (--[a-z-]+)", out, flags=re.MULTILINE))
+    assert listed == options
+    assert "-h, --help" in out
+
+
 def test_the_package_imports_only_numpy_at_runtime():
     # scipy and hypothesis are test and benchmark oracles, not dependencies.
     src = Path(__file__).resolve().parent.parent / "src"

@@ -40,8 +40,9 @@ class TestNeutralElement:
             NeutralElement.additive(TrFN(0.4, 0.45, 0.5, 0.6))
 
     def test_additive_requires_unit_interval(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             NeutralElement.additive(TrFN(-0.1, 0.5, 0.5, 1.1))
+        assert str(info.value) == "neutral element T(-0.1, 0.5, 0.5, 1.1) leaves [0, 1]"
 
     def test_multiplicative_fixed_point_accepted(self):
         p = 9.0 ** 0.2
@@ -55,13 +56,17 @@ class TestNeutralElement:
         with pytest.raises(ValidationError):
             NeutralElement.multiplicative(TrFN(0.5, 0.8, 1.2, 2.0), 9)
 
-    def test_multiplicative_requires_scale_range(self):
-        with pytest.raises(ValidationError):
-            NeutralElement.multiplicative(TrFN(0.05, 1.0, 1.0, 20.0), 9)
+    @pytest.mark.parametrize("value", [TrFN(0.05, 1.0, 1.0, 20.0), TrFN(-1.0, 1.0, 1.0, 2.0)])
+    def test_multiplicative_requires_scale_range(self, value):
+        with pytest.raises(ValidationError) as info:
+            NeutralElement.multiplicative(value, 9)
+        assert str(info.value) == f"neutral element {value} leaves [1/9, 9]"
 
-    def test_scale_must_be_integer_at_least_two(self):
-        with pytest.raises(ValidationError):
-            NeutralElement.multiplicative(TrFN(0.5, 1.0, 1.0, 2.0), 1)
+    @pytest.mark.parametrize("scale", [1, 2.0, True, None])
+    def test_scale_must_be_integer_at_least_two(self, scale):
+        with pytest.raises(ValidationError) as info:
+            NeutralElement.multiplicative(TrFN(0.5, 1.0, 1.0, 2.0), scale)
+        assert str(info.value) == f"scale must be an integer >= 2, got {scale!r}"
 
     def test_crisp_one_half_is_the_classic_neutral(self):
         ne = NeutralElement.additive(TrFN(0.5, 0.5, 0.5, 0.5))
@@ -200,6 +205,17 @@ class TestScaleMap:
             assert phi_inv(phi(x, m), m) == pytest.approx(x, abs=1e-12)
             y = float(rng.uniform(1.0 / m, m))
             assert phi(phi_inv(y, m), m) == pytest.approx(y, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "fn, span",
+        [(phi, "[0, 1]"), (phi_inv, "[1/9, 9]")],
+        ids=["phi", "phi_inv"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), -0.5, 10.0])
+    def test_values_outside_the_range_are_rejected(self, fn, span, value):
+        with pytest.raises(ValidationError) as info:
+            fn(value, 9)
+        assert str(info.value) == f"{fn.__name__} expects a value in {span}, got {value}"
 
     def test_monotone_increasing(self):
         rng = np.random.default_rng(23)

@@ -259,6 +259,12 @@ class TestRanking:
         ranking = rank(values, tie_tol=1e-9)
         assert ranking.groups == ((1,), (0,))
 
+    @pytest.mark.parametrize("tie_tol", [-1e-9, float("nan")])
+    def test_tie_tolerance_must_be_non_negative(self, tie_tol):
+        values = (TrFN(0.5, 0.5, 0.5, 0.5), TrFN(0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(ValidationError, match="tie tolerance must be non-negative"):
+            rank(values, tie_tol=tie_tol)
+
     def test_custom_prefix_and_magnitudes_exposed(self):
         values = (TrFN(0.1, 0.2, 0.3, 0.4), TrFN(0.5, 0.6, 0.7, 0.8))
         ranking = rank(values)
