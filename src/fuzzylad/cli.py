@@ -97,15 +97,15 @@ def _utility_payload(result: UtilityVector, mag_weights: MagWeights) -> dict:
 
 
 def _print_utility(result: UtilityVector, mag_weights: MagWeights, as_json: bool) -> None:
+    payload = _utility_payload(result, mag_weights)
     if as_json:
-        _print_json(_utility_payload(result, mag_weights))
+        _print_json(payload)
         return
-    ranking = rank(result.utilities, mag_weights)
-    print(f"model: {result.model.value}")
-    for i, u in enumerate(result.utilities):
-        print(f"  A{i + 1}: {_fmt_trfn(u)}  Mag = {_fmt(ranking.magnitudes[i])}")
-    print(f"objective: {_fmt(result.objective)}")
-    print(f"ranking: {ranking.label()}")
+    print(f"model: {payload['model']}")
+    for i, (u, mag) in enumerate(zip(result.utilities, payload["magnitudes"])):
+        print(f"  A{i + 1}: {_fmt_trfn(u)}  Mag = {_fmt(mag)}")
+    print(f"objective: {_fmt(payload['objective'])}")
+    print(f"ranking: {payload['ranking']}")
 
 
 def cmd_validate(args, problem: LoadedProblem) -> int:

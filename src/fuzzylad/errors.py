@@ -1,5 +1,15 @@
 """Exception types shared across the package, and the one helper that locates them."""
 
+__all__ = [
+    "ValidationError",
+    "SizeLimitError",
+    "OutOfUnitIntervalError",
+    "NotConsistentError",
+    "InfeasibleError",
+    "IterationLimitError",
+    "ParseError",
+]
+
 
 class ValidationError(ValueError):
     """A domain object violates one of its structural invariants."""
