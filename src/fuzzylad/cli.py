@@ -6,6 +6,10 @@ mutates it (``convert`` writes to ``--out``), and is deterministic: the
 same file and flags produce byte-identical output.  Each takes only the
 options it reads, and ``main`` loads the file and checks its kind for it.
 
+Each command builds one result: a payload, and text lines formatted from
+the payload's own values.  ``main`` prints it once, as JSON under
+``--json`` and as the text otherwise.
+
 Exit codes: 0 success, 1 parse error, 2 validation failure, 3 the
 optimization model is infeasible.
 """
@@ -21,7 +25,7 @@ from typing import Sequence
 from .ahp import AhpProblem, amm_weights, deviation, gmm_weights, run_ahp
 from .errors import InfeasibleError, ParseError, SizeLimitError, ValidationError, located
 from .files import KINDS, LoadedProblem, load_problem, parse_scalar, save_problem
-from .lad import Model, UtilityVector, derive_utility, derive_weights
+from .lad import Model, derive_utility, derive_weights
 from .relations import (
     DEFAULT_CONSISTENCY_TOL,
     TrFPR,
@@ -31,21 +35,35 @@ from .relations import (
     to_additive,
     to_multiplicative,
 )
-from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, TrFN, rank
+from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, rank
 
 __all__ = ["main"]
+
+_Output = tuple[dict, list[str]]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _fmt_trfn(t: TrFN) -> str:
-    return f"T({_fmt(t.a)}, {_fmt(t.b)}, {_fmt(t.c)}, {_fmt(t.d)})"
-
-
 def _rows(values) -> list[list[float]]:
     return [list(t.components) for t in values]
+
+
+def _alternative_lines(rows, magnitudes=None, indent: str = "  ") -> list[str]:
+    """One ``A<i>: T(a, b, c, d)`` line per payload row, with its magnitude when given."""
+    lines = [f"{indent}A{i + 1}: T({', '.join(map(_fmt, row))})" for i, row in enumerate(rows)]
+    if magnitudes is not None:
+        lines = [f"{line}  Mag = {_fmt(mag)}" for line, mag in zip(lines, magnitudes)]
+    return lines
+
+
+def _ranking_fields(ranking: Ranking) -> dict:
+    return {
+        "magnitudes": list(ranking.magnitudes),
+        "ranking": ranking.label(),
+        "ranking_groups": [list(g) for g in ranking.groups],
+    }
 
 
 def _parse_flag(flag: str, text: str, build, count: int, expects: str):
@@ -57,174 +75,122 @@ def _parse_flag(flag: str, text: str, build, count: int, expects: str):
 
 
 def _resolve_mag_weights(args, problem: LoadedProblem) -> MagWeights:
-    if args.mag_weights is not None:
-        return _parse_flag(
-            "--mag-weights", args.mag_weights, MagWeights, 2, "two comma-separated values"
-        )
-    if problem.mag_weights is not None:
-        return problem.mag_weights
-    return DEFAULT_MAG_WEIGHTS
+    if args.mag_weights is None:
+        return problem.mag_weights or DEFAULT_MAG_WEIGHTS
+    return _parse_flag(
+        "--mag-weights", args.mag_weights, MagWeights, 2, "two comma-separated values"
+    )
 
 
-def _resolve_sigma(args, problem: LoadedProblem) -> TrFN | None:
+def _require_sigma(args, problem: LoadedProblem) -> TrFN:
     if args.sigma is not None:
         return _parse_flag("--sigma", args.sigma, TrFN, 4, "four comma-separated components")
-    return problem.sigma
-
-
-def _require_sigma(sigma: TrFN | None) -> TrFN:
-    if sigma is None:
+    if problem.sigma is None:
         raise ValidationError(
             "a total-utility target is required: pass --sigma or add a sigma field"
         )
-    return sigma
+    return problem.sigma
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def cmd_validate(args, problem: LoadedProblem) -> _Output:
+    payload = {"valid": True, "kind": problem.kind, "n": problem.n}
+    criteria = f", {len(problem.matrices)} criteria" if problem.kind == "ahp" else ""
+    return payload, [f"valid {payload['kind']} problem ({payload['n']} alternatives{criteria})"]
 
 
-def _utility_payload(result: UtilityVector, mag_weights: MagWeights) -> dict:
-    ranking = rank(result.utilities, mag_weights)
-    return {
+def cmd_consistency(args, problem: LoadedProblem) -> _Output:
+    check = check_consistency if problem.kind == "additive" else check_consistency_mult
+    report = located("--tol", check, problem.relation, args.tol)
+    payload = {
+        "consistent": report.consistent,
+        "max_violation": report.max_violation,
+        "worst_triple": [i + 1 for i in report.worst_triple],
+        "tol": report.tol,
+    }
+    return payload, [
+        f"verdict: {'consistent' if payload['consistent'] else 'inconsistent'}",
+        f"max violation: {payload['max_violation']:.6g}",
+        f"worst triple: ({', '.join(map(str, payload['worst_triple']))})",
+    ]
+
+
+def cmd_utility(args, problem: LoadedProblem, model: Model | None = None) -> _Output:
+    if model is None:
+        model = Model(args.model or ("punit" if problem.kind == "additive" else "p"))
+    if model is not Model.PSIGMA and args.sigma is not None:
+        raise ValidationError(f"--sigma: model {model.value} takes no total-utility target")
+    sigma = _require_sigma(args, problem) if model is Model.PSIGMA else None
+    if problem.kind == "additive":
+        result = derive_utility(problem.relation, model, sigma)
+    elif sigma is not None:
+        result = derive_weights(problem.relation, sigma)
+    else:
+        result = derive_utility(to_additive(problem.relation), model)
+    payload = {
         "model": result.model.value,
         "utilities": _rows(result.utilities),
         "objective": result.objective,
-        "magnitudes": list(ranking.magnitudes),
-        "ranking": ranking.label(),
-        "ranking_groups": [list(g) for g in ranking.groups],
+        **_ranking_fields(rank(result.utilities, _resolve_mag_weights(args, problem))),
     }
+    return payload, [
+        f"model: {payload['model']}",
+        *_alternative_lines(payload["utilities"], payload["magnitudes"]),
+        f"objective: {_fmt(payload['objective'])}",
+        f"ranking: {payload['ranking']}",
+    ]
 
 
-def _print_utility(result: UtilityVector, mag_weights: MagWeights, as_json: bool) -> None:
-    payload = _utility_payload(result, mag_weights)
-    if as_json:
-        _print_json(payload)
-        return
-    print(f"model: {payload['model']}")
-    for i, (u, mag) in enumerate(zip(result.utilities, payload["magnitudes"])):
-        print(f"  A{i + 1}: {_fmt_trfn(u)}  Mag = {_fmt(mag)}")
-    print(f"objective: {_fmt(payload['objective'])}")
-    print(f"ranking: {payload['ranking']}")
-
-
-def cmd_validate(args, problem: LoadedProblem) -> int:
-    if args.json:
-        _print_json({"valid": True, "kind": problem.kind, "n": problem.n})
-    else:
-        extent = f"{problem.n} alternatives"
-        if problem.kind == "ahp":
-            extent += f", {len(problem.matrices)} criteria"
-        print(f"valid {problem.kind} problem ({extent})")
-    return 0
-
-
-def cmd_consistency(args, problem: LoadedProblem) -> int:
-    check = check_consistency if problem.kind == "additive" else check_consistency_mult
-    report = located("--tol", check, problem.relation, args.tol)
-    i, j, k = report.worst_triple
-    if args.json:
-        _print_json(
-            {
-                "consistent": report.consistent,
-                "max_violation": report.max_violation,
-                "worst_triple": [i + 1, j + 1, k + 1],
-                "tol": report.tol,
-            }
-        )
-    else:
-        print(f"verdict: {'consistent' if report.consistent else 'inconsistent'}")
-        print(f"max violation: {report.max_violation:.6g}")
-        print(f"worst triple: ({i + 1}, {j + 1}, {k + 1})")
-    return 0
-
-
-def _derive_for_file(problem: LoadedProblem, model: Model, sigma: TrFN | None) -> UtilityVector:
-    sigma = _require_sigma(sigma) if model in (Model.PSIGMA, Model.QSIGMA) else None
-    if problem.kind == "additive":
-        return derive_utility(problem.relation, model, sigma)
-    if sigma is not None:
-        return derive_weights(problem.relation, sigma)
-    return derive_utility(to_additive(problem.relation), model)
-
-
-def cmd_utility(args, problem: LoadedProblem, model: Model | None = None) -> int:
-    if model is None and args.model is not None:
-        model = Model(args.model)
-    elif model is None:
-        model = Model.PUNIT if problem.kind == "additive" else Model.P
-    if model is Model.PSIGMA and problem.kind == "multiplicative":
-        model = Model.QSIGMA
-    result = _derive_for_file(problem, model, _resolve_sigma(args, problem))
-    _print_utility(result, _resolve_mag_weights(args, problem), args.json)
-    return 0
-
-
-def _comparison_payload(y: TrMPR, lad: UtilityVector) -> dict:
-    payload = {"lad": {"weights": _rows(lad.utilities), "deviation": lad.objective}}
-    for method, weights in (("amm", amm_weights(y)), ("gmm", gmm_weights(y))):
-        payload[method] = {"weights": _rows(weights), "deviation": deviation(y, weights)}
-    return payload
-
-
-def cmd_ahp(args, problem: LoadedProblem) -> int:
-    sigma = _require_sigma(_resolve_sigma(args, problem))
+def cmd_ahp(args, problem: LoadedProblem) -> _Output:
+    sigma = _require_sigma(args, problem)
     mag_weights = _resolve_mag_weights(args, problem)
     hierarchy = AhpProblem(problem.criteria_weights, problem.matrices, sigma, mag_weights)
     result = run_ahp(hierarchy)
-    comparisons = None
+    payload = {
+        "criteria_weights": list(hierarchy.criteria_weights),
+        "local_weights": [_rows(vec.utilities) for vec in result.local_weights],
+        "per_criterion_objectives": list(result.per_criterion_objectives),
+        "global_weights": _rows(result.global_weights),
+        **_ranking_fields(result.ranking),
+    }
+    lines = []
+    criteria = zip(
+        payload["criteria_weights"], payload["per_criterion_objectives"], payload["local_weights"]
+    )
+    for k, (weight, objective, rows) in enumerate(criteria):
+        lines.append(f"criterion {k + 1} (weight {_fmt(weight)}): objective {_fmt(objective)}")
+        lines += _alternative_lines(rows)
+    lines += [
+        "global weights:",
+        *_alternative_lines(payload["global_weights"], payload["magnitudes"]),
+        f"ranking: {payload['ranking']}",
+    ]
     if args.compare:
-        comparisons = [
-            _comparison_payload(y, local)
-            for y, local in zip(hierarchy.matrices, result.local_weights)
-        ]
-    if args.json:
-        payload = {
-            "criteria_weights": list(hierarchy.criteria_weights),
-            "local_weights": [_rows(vec.utilities) for vec in result.local_weights],
-            "per_criterion_objectives": list(result.per_criterion_objectives),
-            "global_weights": _rows(result.global_weights),
-            "magnitudes": list(result.magnitudes),
-            "ranking": result.ranking.label(),
-            "ranking_groups": [list(g) for g in result.ranking.groups],
-        }
-        if comparisons is not None:
-            payload["comparison"] = comparisons
-        _print_json(payload)
-        return 0
-    for k, vec in enumerate(result.local_weights):
-        weight = hierarchy.criteria_weights[k]
-        print(f"criterion {k + 1} (weight {_fmt(weight)}): objective {_fmt(vec.objective)}")
-        for i, t in enumerate(vec.utilities):
-            print(f"  A{i + 1}: {_fmt_trfn(t)}")
-    print("global weights:")
-    for i, t in enumerate(result.global_weights):
-        print(f"  A{i + 1}: {_fmt_trfn(t)}  Mag = {_fmt(result.magnitudes[i])}")
-    print(f"ranking: {result.ranking.label()}")
-    if comparisons is not None:
-        for k, (block, y) in enumerate(zip(comparisons, hierarchy.matrices)):
-            print(f"comparison (criterion {k + 1}):")
-            for method in ("lad", "amm", "gmm"):
-                entry = block[method]
-                print(f"  {method}: deviation {_fmt(entry['deviation'])}")
-                for i, comps in enumerate(entry["weights"]):
-                    print(f"    A{i + 1}: {_fmt_trfn(TrFN(*comps))}")
-    return 0
+        payload["comparison"] = []
+        for k, (y, lad) in enumerate(zip(hierarchy.matrices, result.local_weights)):
+            block = {"lad": {"weights": _rows(lad.utilities), "deviation": lad.objective}}
+            for method, weights in (("amm", amm_weights(y)), ("gmm", gmm_weights(y))):
+                block[method] = {"weights": _rows(weights), "deviation": deviation(y, weights)}
+            payload["comparison"].append(block)
+            lines.append(f"comparison (criterion {k + 1}):")
+            for method, entry in block.items():
+                lines.append(f"  {method}: deviation {_fmt(entry['deviation'])}")
+                lines += _alternative_lines(entry["weights"], indent="    ")
+    return payload, lines
 
 
-def cmd_convert(args, problem: LoadedProblem) -> int:
+def cmd_convert(args, problem: LoadedProblem) -> _Output:
     if args.to == problem.kind:
         raise ValidationError(f"file already is {problem.kind}; nothing to convert")
     if args.to == "multiplicative":
         converted: TrFPR | TrMPR = located("--scale", to_multiplicative, problem.relation, args.scale)
     else:
         converted = to_additive(problem.relation)
-    save_problem(args.out, converted)
-    if args.json:
-        _print_json({"written": str(args.out), "kind": args.to})
-    else:
-        print(f"wrote {args.to} problem to {args.out}")
-    return 0
+    try:
+        save_problem(args.out, converted)
+    except OSError as exc:
+        raise OSError(f"--out: {exc}") from exc
+    payload = {"written": str(args.out), "kind": args.to}
+    return payload, [f"wrote {payload['kind']} problem to {payload['written']}"]
 
 
 _JSON = ("--json", dict(action="store_true", help="emit machine-readable JSON"))
@@ -293,10 +259,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         problem = load_problem(args.file)
         if problem.kind not in args.kinds:
             raise ValidationError(args.refusal)
-        return args.func(args, problem)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        payload, lines = args.func(args, problem)
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        return 0
     except SizeLimitError as exc:
         print(f"invalid: {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -306,7 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ArithmeticError, RuntimeError) as exc:
+    except (ParseError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

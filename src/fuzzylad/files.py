@@ -22,6 +22,7 @@ Field summary (the README's "Problem files" section has the full table):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -212,6 +213,8 @@ def save_problem(path, relation: TrFPR | TrMPR) -> None:
 
     The text goes to a temporary file beside ``path`` that then replaces
     it, so an interrupted write never leaves a truncated file at ``path``.
+    An OSError that names a file names ``path``, never the temporary, whose
+    name carries the process id.
     """
     path = Path(path)
     text = json.dumps(relation_to_dict(relation), indent=2) + "\n"
@@ -220,6 +223,9 @@ def save_problem(path, relation: TrFPR | TrMPR) -> None:
         with open(temporary, "x") as handle:
             handle.write(text)
         os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            temporary.unlink()
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

@@ -14,6 +14,7 @@ from conftest import rand_consistent_trfpr
 from fuzzylad import MAX_LP_ALTERNATIVES, InfeasibleError, load_problem, save_problem
 from fuzzylad.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 ADDITIVE = str(PROBLEMS / "example-additive.json")
 CONSISTENT = str(PROBLEMS / "example-additive-consistent.json")
@@ -27,6 +28,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m fuzzylad`` in a fresh interpreter, importing this checkout's package."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "fuzzylad", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestValidate:
@@ -191,6 +201,25 @@ class TestUtility:
         code, _, err = run_cli(capsys, "utility", PORTFOLIO)
         assert code == 2
         assert "ahp" in err
+
+    @pytest.mark.parametrize(
+        "path, model, options",
+        [
+            (ADDITIVE, "punit", []),
+            (ADDITIVE, "p0", ["--model", "p0"]),
+            (ADDITIVE, "p", ["--model", "p"]),
+            (RATIO, "p", []),
+            (RATIO, "punit", ["--model", "punit"]),
+            (RATIO, "p0", ["--model", "p0"]),
+        ],
+        ids=["additive-default", "additive-p0", "additive-p", "ratio-default", "ratio-punit",
+             "ratio-p0"],
+    )
+    def test_sigma_flag_under_a_model_without_a_target_exits_2(self, capsys, path, model, options):
+        code, out, err = run_cli(capsys, "utility", path, *options, "--sigma", "1,1,1,1")
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid: --sigma: model {model} takes no total-utility target\n"
 
     def test_mag_weights_flag(self, capsys):
         code, out, _ = run_cli(capsys, "utility", ADDITIVE, "--mag-weights", "0.125,0.375")
@@ -374,6 +403,31 @@ class TestConvert:
         assert code == 0
         assert json.loads(out) == {"written": str(out_path), "kind": "multiplicative"}
 
+    def test_out_into_a_missing_directory_names_the_target_the_same_every_run(self, tmp_path):
+        # Two processes, since a message carrying the process id differs between them.
+        target = tmp_path / "missing" / "ratio.json"
+        argv = ["convert", ADDITIVE, "--to", "multiplicative", "--out", str(target)]
+        first, second = (run_module(*argv) for _ in range(2))
+        assert first.returncode == 1 and first.stdout == ""
+        assert (second.returncode, second.stderr) == (1, first.stderr)
+        err = first.stderr
+        assert err.startswith("error: --out: ")
+        assert repr(str(target)) in err
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_onto_a_directory_leaves_no_temporary(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, out, err = run_cli(
+            capsys, "convert", ADDITIVE, "--to", "multiplicative", "--out", str(target)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: --out: ") and ".tmp" not in err
+        assert repr(str(target)) in err
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
+
 
 class TestExitCodes:
     def test_infeasible_maps_to_3(self, capsys, monkeypatch):
@@ -462,6 +516,52 @@ class TestExitCodes:
         assert err == "invalid: --scale: scale must be an integer >= 2, got 1\n"
         assert not out_path.exists()
 
+
+
+class TestStoredMagnitudeWeights:
+    """A file's ``mag_weights`` field acts like ``--mag-weights``, and the flag wins."""
+
+    @pytest.fixture(params=[("utility", ADDITIVE), ("ahp", PORTFOLIO)], ids=["utility", "ahp"])
+    def stored(self, request, tmp_path):
+        command, original = request.param
+        doc = json.loads(Path(original).read_text())
+        doc["mag_weights"] = [0.125, 0.375]
+        path = tmp_path / Path(original).name
+        path.write_text(json.dumps(doc))
+        return command, original, str(path)
+
+    @pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+    def test_field_prints_what_the_flag_prints(self, capsys, stored, output):
+        command, original, path = stored
+        via_field = run_cli(capsys, command, path, *output)
+        via_flag = run_cli(capsys, command, original, "--mag-weights", "0.125,0.375", *output)
+        assert via_field == via_flag
+        assert via_field[0] == 0
+        assert via_field != run_cli(capsys, command, original, *output)
+
+    def test_flag_overrides_the_field(self, capsys, stored):
+        command, original, path = stored
+        flag = ("--mag-weights", "0.2,0.3", "--json")
+        assert run_cli(capsys, command, path, *flag) == run_cli(capsys, command, original, *flag)
+        assert run_cli(capsys, command, path, *flag) != run_cli(capsys, command, path, "--json")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(n=0), "error: n must be positive, got 0\n"),
+        (lambda doc: doc.update(n=10**6), "error: matrix 1: expected 1000000 rows\n"),
+        (lambda doc: doc.update(matrices=[]),
+         "error: matrices: expected a non-empty array of matrices\n"),
+    ],
+    ids=["n-zero", "n-huge", "no-matrices"],
+)
+def test_loader_refusals_exit_1(capsys, tmp_path, edit, message):
+    doc = json.loads(Path(PORTFOLIO).read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "validate", str(path)) == (1, "", message)
 
 # The flags a subcommand does not read: each is a usage error there.
 UNREAD_FLAGS = [
