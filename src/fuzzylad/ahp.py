@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, IterationLimitError, ValidationError
+from .errors import InfeasibleError, IterationLimitError
 from .group import combine_utilities, convex_weights
 from .lad import UtilityVector, _validate_sigma, derive_weights, evaluate_objective
-from .relations import TrMPR, to_additive
+from .relations import TrMPR, _check_group, _require_kind
 from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, rank
 
 __all__ = ["AhpProblem", "AhpResult", "run_ahp", "amm_weights", "gmm_weights", "deviation"]
@@ -37,35 +37,11 @@ class AhpProblem:
     mag_weights: MagWeights = DEFAULT_MAG_WEIGHTS
 
     def __post_init__(self) -> None:
-        weights = tuple(self.criteria_weights)
-        matrices = tuple(self.matrices)
+        weights = convex_weights(self.criteria_weights, "criteria weights")
+        object.__setattr__(self, "criteria_weights", weights)
+        matrices = _check_group(self.matrices, weights, TrMPR, "criterion")
         object.__setattr__(self, "matrices", matrices)
-        if not matrices:
-            raise ValidationError("an AHP problem needs at least one criterion")
-        if len(weights) != len(matrices):
-            raise ValidationError(
-                f"got {len(weights)} criteria weights for {len(matrices)} matrices"
-            )
-        object.__setattr__(self, "criteria_weights", convex_weights(weights, "criteria weights"))
-        first = matrices[0]
-        for k, y in enumerate(matrices):
-            if not isinstance(y, TrMPR):
-                raise ValidationError(f"criterion {k + 1} matrix is not a ratio-scale relation")
-            if y.n != first.n:
-                raise ValidationError(
-                    f"criterion {k + 1} compares {y.n} alternatives, expected {first.n}"
-                )
-            if y.scale != first.scale or (
-                y.neutral.value.components != first.neutral.value.components
-            ):
-                raise ValidationError(
-                    f"criterion {k + 1} uses a different scale or neutral element"
-                )
         _validate_sigma(self.sigma)
-
-    @property
-    def n(self) -> int:
-        return self.matrices[0].n
 
 
 @dataclass(frozen=True)
@@ -111,11 +87,13 @@ def _normalize(parts: np.ndarray) -> tuple[TrFN, ...]:
 
 def amm_weights(y: TrMPR) -> tuple[TrFN, ...]:
     """Arithmetic-mean weights: fuzzy row sums over their grand total."""
+    _require_kind(y, TrMPR, "amm_weights")
     return _normalize(np.cumsum(y.array, axis=1)[:, -1])
 
 
 def gmm_weights(y: TrMPR) -> tuple[TrFN, ...]:
     """Geometric-mean weights: componentwise row geomeans over their total."""
+    _require_kind(y, TrMPR, "gmm_weights")
     products = np.cumprod(y.array, axis=1)[:, -1].tolist()
     # Python's ``**`` on each component, not numpy's power, which can round
     # differently.
@@ -128,4 +106,4 @@ def deviation(y: TrMPR, weights: tuple[TrFN, ...]) -> float:
     Lower is better; the LAD weights minimize exactly this quantity, so it
     serves as the common yardstick for comparing weighting methods.
     """
-    return evaluate_objective(to_additive(y), weights)
+    return evaluate_objective(y, weights)

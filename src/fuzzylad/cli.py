@@ -25,16 +25,8 @@ from typing import Sequence
 from .ahp import AhpProblem, amm_weights, deviation, gmm_weights, run_ahp
 from .errors import InfeasibleError, ParseError, SizeLimitError, ValidationError, located
 from .files import KINDS, LoadedProblem, load_problem, parse_scalar, save_problem
-from .lad import Model, derive_utility, derive_weights
-from .relations import (
-    DEFAULT_CONSISTENCY_TOL,
-    TrFPR,
-    TrMPR,
-    check_consistency,
-    check_consistency_mult,
-    to_additive,
-    to_multiplicative,
-)
+from .lad import Model, derive_utility
+from .relations import DEFAULT_CONSISTENCY_TOL, check_consistency, to_additive, to_multiplicative
 from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, rank
 
 __all__ = ["main"]
@@ -99,8 +91,7 @@ def cmd_validate(args, problem: LoadedProblem) -> _Output:
 
 
 def cmd_consistency(args, problem: LoadedProblem) -> _Output:
-    check = check_consistency if problem.kind == "additive" else check_consistency_mult
-    report = located("--tol", check, problem.relation, args.tol)
+    report = located("--tol", check_consistency, problem.relation, args.tol)
     payload = {
         "consistent": report.consistent,
         "max_violation": report.max_violation,
@@ -120,12 +111,7 @@ def cmd_utility(args, problem: LoadedProblem, model: Model | None = None) -> _Ou
     if model is not Model.PSIGMA and args.sigma is not None:
         raise ValidationError(f"--sigma: model {model.value} takes no total-utility target")
     sigma = _require_sigma(args, problem) if model is Model.PSIGMA else None
-    if problem.kind == "additive":
-        result = derive_utility(problem.relation, model, sigma)
-    elif sigma is not None:
-        result = derive_weights(problem.relation, sigma)
-    else:
-        result = derive_utility(to_additive(problem.relation), model)
+    result = derive_utility(problem.relation, model, sigma)
     payload = {
         "model": result.model.value,
         "utilities": _rows(result.utilities),
@@ -182,7 +168,7 @@ def cmd_convert(args, problem: LoadedProblem) -> _Output:
     if args.to == problem.kind:
         raise ValidationError(f"file already is {problem.kind}; nothing to convert")
     if args.to == "multiplicative":
-        converted: TrFPR | TrMPR = located("--scale", to_multiplicative, problem.relation, args.scale)
+        converted = located("--scale", to_multiplicative, problem.relation, args.scale)
     else:
         converted = to_additive(problem.relation)
     try:

@@ -196,16 +196,13 @@ def load_problem(path) -> LoadedProblem:
 
 
 def relation_to_dict(relation: TrFPR | TrMPR) -> dict:
-    """Serialize a relation into the problem-file structure."""
-    if isinstance(relation, TrFPR):
-        head: dict = {"kind": "additive", "n": relation.n}
-    elif isinstance(relation, TrMPR):
-        head = {"kind": "multiplicative", "n": relation.n, "scale": relation.scale}
-    else:
+    """Serialize a relation into the problem-file structure, kind and scale from its neutral."""
+    if not isinstance(relation, (TrFPR, TrMPR)):
         raise ValidationError("only additive and multiplicative relations can be serialized")
-    head["neutral"] = list(relation.neutral.value.components)
-    head["matrix"] = relation.array.tolist()
-    return head
+    neutral = relation.neutral
+    scale = {} if neutral.scale is None else {"scale": neutral.scale}
+    head = {"kind": neutral.kind, "n": relation.n, **scale}
+    return {**head, "neutral": list(neutral.value.components), "matrix": relation.array.tolist()}
 
 
 def save_problem(path, relation: TrFPR | TrMPR) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lad import Model, UtilityVector, derive_utility, evaluate_objective
-from .relations import TrFPR
+from .relations import TrFPR, _check_group
 from .trfn import TrFN
 
 __all__ = ["GroupWeights", "BoundsReport", "aggregate_relations", "aggregate_utilities", "verify_bounds"]
@@ -83,22 +83,9 @@ def aggregate_relations(relations: Sequence[TrFPR], weights: GroupWeights) -> Tr
     triangle and the diagonal as the shared neutral element; both equal the
     entrywise combination mathematically but stay bit-exactly reciprocal.
     """
-    relations = tuple(relations)
-    if len(relations) != len(weights):
-        raise ValidationError(
-            f"got {len(relations)} relations for {len(weights)} weights"
-        )
-    first = relations[0]
-    for e, rel in enumerate(relations):
-        if rel.n != first.n:
-            raise ValidationError(f"relation {e + 1} has size {rel.n}, expected {first.n}")
-        if rel.neutral.value.components != first.neutral.value.components:
-            raise ValidationError(
-                f"relation {e + 1} uses neutral element {rel.neutral.value}, "
-                f"expected {first.neutral.value}"
-            )
+    relations = _check_group(relations, weights, TrFPR, "relation")
     combined = weighted_sum(weights, [rel.array for rel in relations])
-    return TrFPR.from_upper(combined, first.neutral)
+    return TrFPR.from_upper(combined, relations[0].neutral)
 
 
 def aggregate_utilities(

@@ -16,8 +16,9 @@ Model variants differ only in side constraints on the utility components:
   interval); the default when deriving from an additive relation.
 * ``PSigma``: model P plus a fixed componentwise total, which pins the
   otherwise shift-invariant optimum and yields normalized fuzzy weights.
-* ``QSigma``: model PSigma applied to a multiplicative relation via its
-  additive image; the label records the ratio-scale origin.
+* ``QSigma``: model PSigma on a multiplicative relation.  Every function
+  here takes either kind and solves a multiplicative one through its
+  additive image; ``derive_utility`` sets this label on such a result.
 """
 
 from __future__ import annotations
@@ -120,13 +121,19 @@ class UtilityVector:
         return len(self.utilities)
 
 
-def evaluate_objective(x: TrFPR, utilities: Sequence[TrFN]) -> float:
+def _additive(x: TrFPR | TrMPR) -> TrFPR:
+    """``x`` itself, or the additive image of a multiplicative relation."""
+    return to_additive(x) if isinstance(x, TrMPR) else x
+
+
+def evaluate_objective(x: TrFPR | TrMPR, utilities: Sequence[TrFN]) -> float:
     """Total deviation between ``x`` and the relation the utilities rebuild.
 
     This is a direct evaluation, independent of any LP machinery: for every
     cell (diagonal included) it compares ``x_ij + t0`` against
     ``u_i + (u_j negated)`` in normalized L1 distance and sums up.
     """
+    x = _additive(x)
     utilities = tuple(utilities)
     if len(utilities) != x.n:
         raise ValidationError(f"expected {x.n} utilities, got {len(utilities)}")
@@ -146,7 +153,7 @@ def _validate_sigma(sigma: TrFN) -> None:
         )
 
 
-def build_lp(x: TrFPR, model: Model, sigma: TrFN | None = None) -> LinearProgram:
+def build_lp(x: TrFPR | TrMPR, model: Model, sigma: TrFN | None = None) -> LinearProgram:
     """Assemble the deviation-minimization LP for relation ``x``.
 
     Variable layout: utility components first (``4k + component``), then one
@@ -155,12 +162,11 @@ def build_lp(x: TrFPR, model: Model, sigma: TrFN | None = None) -> LinearProgram
     implied (for example non-negativity of the b component under model P)
     is left to the ordering chain.
     """
+    x = _additive(x)
     if x.n > MAX_LP_ALTERNATIVES:
         raise SizeLimitError(
             f"the deviation LP takes at most {MAX_LP_ALTERNATIVES} alternatives, got {x.n}"
         )
-    if model is Model.QSIGMA:
-        model = Model.PSIGMA
     if model is Model.PSIGMA:
         if sigma is None:
             raise ValidationError("model psigma needs a total-utility target")
@@ -228,7 +234,7 @@ def _extract_utilities(x_arr: np.ndarray, n: int, model: Model) -> tuple[TrFN, .
 
 
 def derive_utility(
-    x: TrFPR, model: Model = Model.PUNIT, sigma: TrFN | None = None
+    x: TrFPR | TrMPR, model: Model = Model.PUNIT, sigma: TrFN | None = None
 ) -> UtilityVector:
     """Solve the deviation LP for ``x`` and return optimal utilities.
 
@@ -238,7 +244,9 @@ def derive_utility(
     returning silently wrong numbers.
     """
     if model is Model.QSIGMA:
-        raise ValidationError("use derive_weights for ratio-scale relations")
+        raise ValidationError("model qsigma labels results; derive with model psigma")
+    label = Model.QSIGMA if model is Model.PSIGMA and isinstance(x, TrMPR) else model
+    x = _additive(x)
     lp = build_lp(x, model, sigma)
     try:
         solution = solve(lp)
@@ -257,7 +265,7 @@ def derive_utility(
             f"LP optimum {solution.objective_value} and recomputed deviation "
             f"{recomputed} disagree beyond {OBJECTIVE_AGREEMENT_TOL}"
         )
-    return UtilityVector(utilities, recomputed, model)
+    return UtilityVector(utilities, recomputed, label)
 
 
 def shift_normalize(u: UtilityVector) -> UtilityVector:
@@ -279,30 +287,25 @@ def shift_normalize(u: UtilityVector) -> UtilityVector:
 
 def derive_utility_mult(y: TrMPR) -> UtilityVector:
     """Derive non-negative utilities for a multiplicative relation."""
-    return derive_utility(to_additive(y), Model.P)
+    return derive_utility(y, Model.P)
 
 
 def derive_weights(y: TrMPR, sigma: TrFN) -> UtilityVector:
-    """Derive normalized fuzzy weights for a multiplicative relation.
-
-    Solves the total-pinned model on the additive image of ``y``; the
-    result is labelled QSigma to record its ratio-scale origin.
-    """
-    _validate_sigma(sigma)
-    derived = derive_utility(to_additive(y), Model.PSIGMA, sigma)
-    return replace(derived, model=Model.QSIGMA)
+    """Derive normalized fuzzy weights for a multiplicative relation, labelled qsigma."""
+    return derive_utility(y, Model.PSIGMA, sigma)
 
 
 def fast_path_consistent(
-    x: TrFPR, k: int = 0, tol: float = DEFAULT_CONSISTENCY_TOL
+    x: TrFPR | TrMPR, k: int = 0, tol: float = DEFAULT_CONSISTENCY_TOL
 ) -> UtilityVector:
     """Read utilities straight out of column ``k`` of a consistent relation.
 
     For a consistent relation, any single column is already an optimal
     utility vector with zero deviation, so no LP is needed.  ``k`` is
     0-based.  Raises NotConsistentError when the relation fails the
-    transitivity scan at ``tol``.
+    transitivity scan at ``tol``, run on the additive image.
     """
+    x = _additive(x)
     if not 0 <= k < x.n:
         raise ValidationError(f"column index {k} outside 0..{x.n - 1}")
     report = check_consistency(x, tol)

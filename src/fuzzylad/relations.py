@@ -234,6 +234,7 @@ class TrFPR(_Relation):
     """An additive reciprocal preference relation over ``n`` alternatives."""
 
     _kind, _kind_phrase, _mirror_word = "additive", "an additive", "negation"
+    _combine = np.add
     _close = staticmethod(_close_abs)
     _mirror = staticmethod(lambda cells: 1.0 - cells[..., ::-1])
 
@@ -242,6 +243,7 @@ class TrMPR(_Relation):
     """A multiplicative reciprocal preference relation on the scale ``[1/m, m]``."""
 
     _kind, _kind_phrase, _mirror_word = "multiplicative", "a multiplicative", "inverse"
+    _combine = np.multiply
     _close = staticmethod(_close_rel)
     _mirror = staticmethod(lambda cells: 1.0 / cells[..., ::-1])
 
@@ -327,11 +329,12 @@ class ConsistencyReport:
         )
 
 
-def _scan_triples(array, combine, neutral_value, tol) -> ConsistencyReport:
+def _scan_triples(relation, tol: float) -> ConsistencyReport:
     if not 0.0 <= tol < math.inf:
         raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
-    # violation[i, j, k] compares x_ij (.) t0 with x_ik (.) x_kj.
-    lhs = combine(array, np.array(neutral_value.components))[:, :, None, :]
+    # violation[i, j, k] compares x_ij (.) t0 with x_ik (.) x_kj, (.) the relation's own.
+    array, combine = relation.array, relation._combine
+    lhs = combine(array, np.array(relation.neutral.value.components))[:, :, None, :]
     rhs = combine(array[:, None, :, :], array.transpose(1, 0, 2)[None, :, :, :])
     violation = _distance(lhs, rhs)
     max_violation = float(violation.max())
@@ -346,14 +349,42 @@ def _scan_triples(array, combine, neutral_value, tol) -> ConsistencyReport:
     return ConsistencyReport(max_violation <= tol, max_violation, worst, tol)
 
 
-def check_consistency(x: TrFPR, tol: float = DEFAULT_CONSISTENCY_TOL) -> ConsistencyReport:
-    """Scan all triples for additive transitivity ``x_ij + t0 = x_ik + x_kj``."""
-    return _scan_triples(x.array, np.add, x.neutral.value, tol)
+def check_consistency(
+    x: TrFPR | TrMPR, tol: float = DEFAULT_CONSISTENCY_TOL
+) -> ConsistencyReport:
+    """Scan all triples for ``x_ij + t0 = x_ik + x_kj``, or ``y_ij * s0 = y_ik * y_kj``."""
+    return _scan_triples(x, tol)
 
 
-def check_consistency_mult(y: TrMPR, tol: float = DEFAULT_CONSISTENCY_TOL) -> ConsistencyReport:
-    """Scan all triples for multiplicative transitivity ``y_ij * s0 = y_ik * y_kj``."""
-    return _scan_triples(y.array, np.multiply, y.neutral.value, tol)
+def check_consistency_mult(
+    y: TrFPR | TrMPR, tol: float = DEFAULT_CONSISTENCY_TOL
+) -> ConsistencyReport:
+    """``check_consistency`` under its ratio-scale name."""
+    return _scan_triples(y, tol)
+
+
+def _require_kind(relation, cls: type, where: str) -> None:
+    if not isinstance(relation, cls):
+        raise ValidationError(
+            f"{where}: expected {cls._kind_phrase} relation, got {type(relation).__name__}"
+        )
+
+
+def _check_group(members, weights, cls: type, name: str) -> tuple:
+    """``members`` as ``cls`` relations of one size and neutral element, one per weight."""
+    members = tuple(members)
+    if len(members) != len(weights):
+        raise ValidationError(f"got {len(weights)} weights for {len(members)} relations")
+    for k, member in enumerate(members):
+        _require_kind(member, cls, f"{name} {k + 1}")
+        first = members[0]
+        if member.n != first.n:
+            raise ValidationError(f"{name} {k + 1} has size {member.n}, expected {first.n}")
+        neutrals = (member.neutral, first.neutral)
+        if neutrals[0] != neutrals[1]:
+            got, want = (f"{t.value} on {_bounds(t.scale)[2]}" for t in neutrals)
+            raise ValidationError(f"{name} {k + 1} uses neutral element {got}, expected {want}")
+    return members
 
 
 def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
