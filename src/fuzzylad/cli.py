@@ -25,7 +25,7 @@ from typing import Sequence
 from .ahp import AhpProblem, amm_weights, deviation, gmm_weights, run_ahp
 from .errors import InfeasibleError, ParseError, SizeLimitError, ValidationError, located
 from .files import KINDS, LoadedProblem, load_problem, parse_scalar, save_problem
-from .lad import Model, derive_utility
+from .lad import Model, _validate_sigma, derive_utility
 from .relations import DEFAULT_CONSISTENCY_TOL, check_consistency, to_additive, to_multiplicative
 from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, rank
 
@@ -76,12 +76,13 @@ def _resolve_mag_weights(args, problem: LoadedProblem) -> MagWeights:
 
 def _require_sigma(args, problem: LoadedProblem) -> TrFN:
     if args.sigma is not None:
-        return _parse_flag("--sigma", args.sigma, TrFN, 4, "four comma-separated components")
+        sigma = _parse_flag("--sigma", args.sigma, TrFN, 4, "four comma-separated components")
+        return located("--sigma", _validate_sigma, sigma)
     if problem.sigma is None:
         raise ValidationError(
             "a total-utility target is required: pass --sigma or add a sigma field"
         )
-    return problem.sigma
+    return located(f"{args.file}: sigma", _validate_sigma, problem.sigma)
 
 
 def cmd_validate(args, problem: LoadedProblem) -> _Output:

@@ -58,6 +58,7 @@ __all__ = [
     "fast_path_consistent",
     "evaluate_objective",
     "MAX_LP_ALTERNATIVES",
+    "MAX_SIGMA",
 ]
 
 # Agreement required between the LP optimum and the objective recomputed
@@ -71,6 +72,13 @@ _SNAP_TOL = 1e-12
 # one n = 15 punit solve took about 2.5 s, 10400 pivots and 105 MB peak RSS
 # on a 2-vCPU guest, and the 20000-pivot budget runs out near n = 20.
 MAX_LP_ALTERNATIVES = 15
+
+# Largest component of a total-utility target.  The solver's tolerances are
+# absolute while the target scales the LP, so u_k = sigma / n, always
+# feasible, can read as infeasible.  Targets d * (2/3, 3/4, 11/12, 1) over
+# the 6 shipped and 40 seeded n = 3-7 relations, d stepped by 10^(1/16),
+# first failed at d = 7.5e5 (InfeasibleError); most failed by d = 1e7.
+MAX_SIGMA = 1e4
 
 
 class Model(str, Enum):
@@ -144,13 +152,14 @@ def evaluate_objective(x: TrFPR | TrMPR, utilities: Sequence[TrFN]) -> float:
     return float(np.cumsum(cells)[-1])
 
 
-def _validate_sigma(sigma: TrFN) -> None:
+def _validate_sigma(sigma: TrFN) -> TrFN:
     if not isinstance(sigma, TrFN):
         raise ValidationError("the total-utility target must be a trapezoidal number")
     if sigma.a <= 0.0:
-        raise ValidationError(
-            f"the total-utility target must be strictly positive, got {sigma}"
-        )
+        raise ValidationError(f"the total-utility target must be strictly positive, got {sigma}")
+    if sigma.d > MAX_SIGMA:
+        raise ValidationError(f"the total-utility target is at most {MAX_SIGMA:g}, got {sigma}")
+    return sigma
 
 
 def build_lp(x: TrFPR | TrMPR, model: Model, sigma: TrFN | None = None) -> LinearProgram:

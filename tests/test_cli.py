@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_consistent_trfpr
-from fuzzylad import MAX_LP_ALTERNATIVES, InfeasibleError, load_problem, save_problem
+from fuzzylad import MAX_LP_ALTERNATIVES, MAX_SIGMA, InfeasibleError, load_problem, save_problem
 from fuzzylad.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -499,6 +499,44 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "weights", ADDITIVE, "--sigma", "0.8,0.9,1.1,inf")
         assert code == 2
         assert err == "invalid: --sigma: 'inf' is not a finite real number\n"
+
+    @pytest.mark.parametrize(
+        "command, path, sigma",
+        [("ahp", PORTFOLIO, "8e6,9e6,1.1e7,1.2e7"), ("weights", RATIO, "8e8,9e8,1.1e9,1.2e9")],
+        ids=["ahp", "weights"],
+    )
+    def test_sigma_above_the_limit_exits_2_naming_the_flag(self, capsys, command, path, sigma):
+        # The solver's absolute tolerances read targets this large as infeasible.
+        code, out, err = run_cli(capsys, command, path, "--sigma", sigma)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"invalid: --sigma: the total-utility target is at most {MAX_SIGMA:g}, ")
+
+    @pytest.mark.parametrize("path", [ADDITIVE, CONSISTENT, RATIO, PORTFOLIO])
+    def test_sigma_at_the_limit_solves_every_shipped_file(self, capsys, path):
+        sigma = ",".join(str(MAX_SIGMA * r) for r in (0.8 / 1.2, 0.9 / 1.2, 1.1 / 1.2, 1.0))
+        command = "ahp" if path == PORTFOLIO else "weights"
+        assert run_cli(capsys, command, path, "--sigma", sigma)[0] == 0
+
+    def test_non_positive_sigma_flag_exits_2_naming_the_flag(self, capsys):
+        code, _, err = run_cli(capsys, "weights", RATIO, "--sigma", "0,0.9,1.1,1.2")
+        assert code == 2
+        assert err == (
+            "invalid: --sigma: the total-utility target must be strictly positive, "
+            "got T(0.0, 0.9, 1.1, 1.2)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["weights", "ahp"])
+    def test_bad_sigma_field_exits_2_naming_the_file_and_field(self, capsys, tmp_path, command):
+        doc = json.loads(Path(RATIO if command == "weights" else PORTFOLIO).read_text())
+        doc["sigma"] = [0, 0.9, 1.1, 1.2]
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert err == (
+            f"invalid: {path}: sigma: the total-utility target must be strictly positive, "
+            "got T(0.0, 0.9, 1.1, 1.2)\n"
+        )
 
     def test_bad_magnitude_weights_exit_2_naming_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "utility", ADDITIVE, "--mag-weights", "0.1,0.1")

@@ -7,6 +7,7 @@ import pytest
 
 from fuzzylad import (
     MAX_LP_ALTERNATIVES,
+    MAX_SIGMA,
     IterationLimitError,
     Model,
     NotConsistentError,
@@ -336,6 +337,10 @@ class TestRatioScalePaths:
     def test_weight_derivation_validates_the_target(self, ratio_relation):
         with pytest.raises(ValidationError):
             derive_weights(ratio_relation, TrFN(0.0, 0.9, 1.1, 1.2))
+
+    def test_weight_target_above_the_limit_is_refused(self, ratio_relation):
+        with pytest.raises(ValidationError, match=f"target is at most {MAX_SIGMA:g}, got"):
+            derive_weights(ratio_relation, TrFN(0.8, 0.9, 1.1, MAX_SIGMA * 1.001))
 
 
 class TestFastPath:
