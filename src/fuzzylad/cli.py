@@ -4,7 +4,8 @@ Subcommands: ``validate``, ``consistency``, ``utility``, ``weights``,
 ``ahp``, ``convert``.  Every command reads one JSON problem file, never
 mutates it (``convert`` writes to ``--out``), and is deterministic: the
 same file and flags produce byte-identical output.  Each takes only the
-options it reads, and ``main`` loads the file and checks its kind for it.
+options it reads, and ``main`` loads the file and checks its kind for it;
+a refusal of the file's content names the file.
 
 Each command builds one result: a payload, and text lines formatted from
 the payload's own values.  ``main`` prints it once, as JSON under
@@ -243,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        problem = load_problem(args.file)
+        problem = located(args.file, load_problem, args.file)
         if problem.kind not in args.kinds:
             raise ValidationError(args.refusal)
         payload, lines = args.func(args, problem)

@@ -40,8 +40,8 @@ class ParseError(ValueError):
 
 
 def located(where: str, build, *args):
-    """``build(*args)``, with a ValidationError's message prefixed by ``where``."""
+    """``build(*args)``, with a ValidationError's or ParseError's message prefixed by ``where``."""
     try:
         return build(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    except (ValidationError, ParseError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc

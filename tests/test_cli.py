@@ -457,7 +457,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "ahp", str(path))
         assert code == 2
         assert out == ""
-        assert err == "invalid: criteria_weights[0]: 'NaN' is not a finite real number\n"
+        assert err == f"invalid: {path}: criteria_weights[0]: 'NaN' is not a finite real number\n"
 
     def test_unordered_ahp_entry_exits_2_located_once(self, capsys, tmp_path):
         doc = json.loads(Path(PORTFOLIO).read_text())
@@ -468,7 +468,7 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == (
-            "invalid: matrix 2: entry (1,2): components must satisfy a <= b <= c <= d, "
+            f"invalid: {path}: matrix 2: entry (1,2): components must satisfy a <= b <= c <= d, "
             "got (4.0, 3.0, 2.0, 5.0)\n"
         )
 
@@ -480,7 +480,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "ahp", str(path))
         assert code == 1
         assert out == ""
-        assert err == "error: criteria_weights[0]: cannot parse '9^1000' as a number\n"
+        assert err == f"error: {path}: criteria_weights[0]: cannot parse '9^1000' as a number\n"
 
     def test_relation_above_the_lp_size_limit_exits_2_naming_the_file(self, capsys, tmp_path):
         n = MAX_LP_ALTERNATIVES + 1
@@ -587,10 +587,9 @@ class TestStoredMagnitudeWeights:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda doc: doc.update(n=0), "error: n must be positive, got 0\n"),
-        (lambda doc: doc.update(n=10**6), "error: matrix 1: expected 1000000 rows\n"),
-        (lambda doc: doc.update(matrices=[]),
-         "error: matrices: expected a non-empty array of matrices\n"),
+        (lambda doc: doc.update(n=0), "n must be positive, got 0\n"),
+        (lambda doc: doc.update(n=10**6), "matrix 1: expected 1000000 rows\n"),
+        (lambda doc: doc.update(matrices=[]), "matrices: expected a non-empty array of matrices\n"),
     ],
     ids=["n-zero", "n-huge", "no-matrices"],
 )
@@ -599,7 +598,7 @@ def test_loader_refusals_exit_1(capsys, tmp_path, edit, message):
     edit(doc)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
-    assert run_cli(capsys, "validate", str(path)) == (1, "", message)
+    assert run_cli(capsys, "validate", str(path)) == (1, "", f"error: {path}: {message}")
 
 # The flags a subcommand does not read: each is a usage error there.
 UNREAD_FLAGS = [
