@@ -257,6 +257,13 @@ def _check_scale(m: int) -> None:
         raise ValidationError(f"scale must be an integer >= 2, got {m!r}")
 
 
+def _require_kind(relation, cls: type, where: str) -> None:
+    if not isinstance(relation, cls):
+        raise ValidationError(
+            f"{where}: expected {cls._kind_phrase} relation, got {type(relation).__name__}"
+        )
+
+
 def phi(x: float, m: int) -> float:
     """Map a unit-interval score to the ratio scale: ``m ** (2x - 1)``."""
     _check_scale(m)
@@ -287,6 +294,7 @@ def _each(fn, cells: np.ndarray, m: int) -> np.ndarray:
 
 def to_multiplicative(x: TrFPR, m: int) -> TrMPR:
     """Map every entry of an additive relation to the scale ``[1/m, m]``."""
+    _require_kind(x, TrFPR, "to_multiplicative")
     neutral = NeutralElement.multiplicative(TrFN(*(phi(v, m) for v in x.neutral.value)), m)
     return TrMPR._of(_each(phi, x.array, m), neutral)
 
@@ -299,6 +307,7 @@ def to_additive(y: TrMPR) -> TrFPR:
     keeps the additive reciprocity identities exact instead of losing them
     to independent rounding of each entry.
     """
+    _require_kind(y, TrMPR, "to_additive")
     m = y.neutral.scale
     s0 = y.neutral.value
     pa = phi_inv(s0.a, m)
@@ -361,13 +370,6 @@ def check_consistency_mult(
 ) -> ConsistencyReport:
     """``check_consistency`` under its ratio-scale name."""
     return _scan_triples(y, tol)
-
-
-def _require_kind(relation, cls: type, where: str) -> None:
-    if not isinstance(relation, cls):
-        raise ValidationError(
-            f"{where}: expected {cls._kind_phrase} relation, got {type(relation).__name__}"
-        )
 
 
 def _check_group(members, weights, cls: type, name: str) -> tuple:

@@ -126,6 +126,10 @@ CASES = {
     ("aggregate_relations", "multiplicative"): refused(
         lambda y: aggregate_relations((y, y), GroupWeights((0.5, 0.5))), "an additive"
     ),
+    ("to_additive", "additive"): refused(to_additive, "a multiplicative"),
+    ("to_multiplicative", "multiplicative"): refused(
+        lambda y: to_multiplicative(y, 9), "an additive"
+    ),
     ("amm_weights", "additive"): refused(amm_weights, "a multiplicative"),
     ("gmm_weights", "additive"): refused(gmm_weights, "a multiplicative"),
     ("AhpProblem", "additive"): refused(
