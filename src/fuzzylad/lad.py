@@ -17,8 +17,9 @@ Model variants differ only in side constraints on the utility components:
 * ``PSigma``: model P plus a fixed componentwise total, which pins the
   otherwise shift-invariant optimum and yields normalized fuzzy weights.
 * ``QSigma``: model PSigma on a multiplicative relation.  Every function
-  here takes either kind and solves a multiplicative one through its
-  additive image; ``derive_utility`` sets this label on such a result.
+  here that takes a relation takes either kind and solves a multiplicative
+  one through its additive image; ``derive_utility`` sets this label on
+  such a result.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ def _validate_sigma(sigma: TrFN) -> TrFN:
     if not isinstance(sigma, TrFN):
         raise ValidationError("the total-utility target must be a trapezoidal number")
     if sigma.a <= 0.0:
-        raise ValidationError(f"the total-utility target must be strictly positive, got {sigma}")
+        raise ValidationError(
+            f"the total-utility target must be strictly positive, got {sigma}"
+        )
     if sigma.d > MAX_SIGMA:
         raise ValidationError(f"the total-utility target is at most {MAX_SIGMA:g}, got {sigma}")
     return sigma
