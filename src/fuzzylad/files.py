@@ -200,9 +200,12 @@ def relation_to_dict(relation: TrFPR | TrMPR) -> dict:
     if not isinstance(relation, (TrFPR, TrMPR)):
         raise ValidationError("only additive and multiplicative relations can be serialized")
     neutral = relation.neutral
-    scale = {} if neutral.scale is None else {"scale": neutral.scale}
-    head = {"kind": neutral.kind, "n": relation.n, **scale}
-    return {**head, "neutral": list(neutral.value.components), "matrix": relation.array.tolist()}
+    head: dict = {"kind": neutral.kind, "n": relation.n}
+    if neutral.scale is not None:
+        head["scale"] = neutral.scale
+    head["neutral"] = list(neutral.value.components)
+    head["matrix"] = relation.array.tolist()
+    return head
 
 
 def save_problem(path, relation: TrFPR | TrMPR) -> None:

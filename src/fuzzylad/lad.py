@@ -76,9 +76,9 @@ MAX_LP_ALTERNATIVES = 15
 
 # Largest component of a total-utility target.  The solver's tolerances are
 # absolute while the target scales the LP, so u_k = sigma / n, always
-# feasible, can read as infeasible.  Targets d * (2/3, 3/4, 11/12, 1) over
-# the 6 shipped and 40 seeded n = 3-7 relations, d stepped by 10^(1/16),
-# first failed at d = 7.5e5 (InfeasibleError); most failed by d = 1e7.
+# feasible, can read as infeasible.  Targets d * (2/3, 3/4, 11/12, 1), d up
+# by 10^(1/16), over 6 shipped, 40 seeded n = 3-7 and 24 seeded n = 8-15
+# relations first failed at d = 2.05e5 (n = 11 and 12, InfeasibleError).
 MAX_SIGMA = 1e4
 
 
@@ -174,6 +174,8 @@ def build_lp(x: TrFPR | TrMPR, model: Model, sigma: TrFN | None = None) -> Linea
     implied (for example non-negativity of the b component under model P)
     is left to the ordering chain.
     """
+    if model is Model.QSIGMA:
+        raise ValidationError("model qsigma labels results; derive with model psigma")
     x = _additive(x)
     if x.n > MAX_LP_ALTERNATIVES:
         raise SizeLimitError(
@@ -255,8 +257,6 @@ def derive_utility(
     linearization and the evaluation disagree and raises instead of
     returning silently wrong numbers.
     """
-    if model is Model.QSIGMA:
-        raise ValidationError("model qsigma labels results; derive with model psigma")
     label = Model.QSIGMA if model is Model.PSIGMA and isinstance(x, TrMPR) else model
     x = _additive(x)
     lp = build_lp(x, model, sigma)
@@ -314,10 +314,9 @@ def fast_path_consistent(
 
     For a consistent relation, any single column is already an optimal
     utility vector with zero deviation, so no LP is needed.  ``k`` is
-    0-based.  Raises NotConsistentError when the relation fails the
-    transitivity scan at ``tol``, run on the additive image.
+    0-based.  Raises NotConsistentError when the relation fails its own
+    kind's transitivity scan at ``tol``.
     """
-    x = _additive(x)
     if not 0 <= k < x.n:
         raise ValidationError(f"column index {k} outside 0..{x.n - 1}")
     report = check_consistency(x, tol)
@@ -325,6 +324,7 @@ def fast_path_consistent(
         raise NotConsistentError(
             f"fast path needs a consistent relation; {report.describe()}"
         )
+    x = _additive(x)
 
     utilities = tuple(TrFN(*row) for row in _snap(x.array[:, k]).tolist())
     objective = evaluate_objective(x, utilities)

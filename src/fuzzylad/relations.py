@@ -365,9 +365,7 @@ def check_consistency(
     return _scan_triples(x, tol)
 
 
-def check_consistency_mult(
-    y: TrFPR | TrMPR, tol: float = DEFAULT_CONSISTENCY_TOL
-) -> ConsistencyReport:
+def check_consistency_mult(y: TrMPR, tol: float = DEFAULT_CONSISTENCY_TOL) -> ConsistencyReport:
     """``check_consistency`` under its ratio-scale name."""
     return _scan_triples(y, tol)
 

@@ -3,9 +3,10 @@
 Each case calls one function on one kind of relation.  An accepted call
 must equal, bit for bit, the explicit path through the additive image that
 it stands for; a refused call raises ValidationError naming the kind it
-expected.
+expected.  The qsigma label is refused as a model on either kind.
 """
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from fuzzylad import (
     AhpProblem,
     GroupWeights,
     Model,
+    NotConsistentError,
     TrFN,
     ValidationError,
     aggregate_relations,
@@ -101,9 +103,18 @@ def build_lp_case(y):
         same_lp(build_lp(y, model, sigma), build_lp(to_additive(y), model, sigma))
 
 
-def fast_path_case(inconsistent):
-    y = relation("multiplicative", "example-additive-consistent")
-    same(fast_path_consistent(y, 1), fast_path_consistent(to_additive(y), 1))
+def build_lp_qsigma_case(x):
+    for sigma in (None, SIGMA):
+        refusal = "^model qsigma labels results; derive with model psigma$"
+        with pytest.raises(ValidationError, match=refusal):
+            build_lp(x, Model.QSIGMA, sigma)
+
+
+def fast_path_case(y):
+    with pytest.raises(NotConsistentError, match=re.escape(check_consistency_mult(y).describe())):
+        fast_path_consistent(y)
+    consistent = relation("multiplicative", "example-additive-consistent")
+    same(fast_path_consistent(consistent, 1), fast_path_consistent(to_additive(consistent), 1))
 
 
 def refused(call, expected: str):
@@ -122,6 +133,8 @@ CASES = {
     ("derive_weights", "additive"): derive_weights_case,
     ("evaluate_objective", "multiplicative"): evaluate_objective_case,
     ("build_lp", "multiplicative"): build_lp_case,
+    ("build_lp-qsigma", "additive"): build_lp_qsigma_case,
+    ("build_lp-qsigma", "multiplicative"): build_lp_qsigma_case,
     ("fast_path_consistent", "multiplicative"): fast_path_case,
     ("aggregate_relations", "multiplicative"): refused(
         lambda y: aggregate_relations((y, y), GroupWeights((0.5, 0.5))), "an additive"

@@ -342,6 +342,14 @@ class TestRatioScalePaths:
         with pytest.raises(ValidationError, match=f"target is at most {MAX_SIGMA:g}, got"):
             derive_weights(ratio_relation, TrFN(0.8, 0.9, 1.1, MAX_SIGMA * 1.001))
 
+    def test_target_at_the_limit_solves_the_largest_relation(self):
+        x = rand_trfpr(np.random.default_rng(2150), MAX_LP_ALTERNATIVES)
+        sigma = TrFN(*(MAX_SIGMA * r for r in (0.8 / 1.2, 0.9 / 1.2, 1.1 / 1.2, 1.0)))
+        result = derive_utility(x, Model.PSIGMA, sigma)
+        for comp in range(4):
+            total = sum(u.components[comp] for u in result.utilities)
+            assert total == pytest.approx(sigma.components[comp], rel=1e-9)
+
 
 class TestFastPath:
     def test_consistent_relation_yields_zero_deviation(self, consistent_relation):
