@@ -48,7 +48,6 @@ class LoadedProblem:
 
     kind: str
     n: int
-    scale: int | None
     relation: TrFPR | TrMPR | None
     matrices: tuple[TrMPR, ...] | None
     criteria_weights: tuple[float, ...] | None
@@ -155,38 +154,31 @@ def load_problem(path) -> LoadedProblem:
         w1, w2 = (parse_scalar(w, "mag_weights") for w in raw)
         mag_weights = located("mag_weights", MagWeights, w1, w2)
 
-    scale = None
-    relation: TrFPR | TrMPR | None = None
-    matrices = None
-    criteria_weights = None
-    if kind == "additive":
-        neutral = located("neutral", NeutralElement.additive, neutral_value)
-        relation = TrFPR._of(_parse_matrix(_require(data, "matrix"), n, "matrix"), neutral)
+    relation = matrices = criteria_weights = None
+    scale = None if kind == "additive" else _parse_int(_require(data, "scale"), "scale")
+    neutral = located("neutral", NeutralElement, neutral_value, scale)
+    if kind != "ahp":
+        matrix = _parse_matrix(_require(data, "matrix"), n, "matrix")
+        relation = neutral._relation._of(matrix, neutral)
     else:
-        scale = _parse_int(_require(data, "scale"), "scale")
-        neutral = located("neutral", NeutralElement.multiplicative, neutral_value, scale)
-        if kind == "multiplicative":
-            relation = TrMPR._of(_parse_matrix(_require(data, "matrix"), n, "matrix"), neutral)
-        else:
-            raw_matrices = _require(data, "matrices")
-            if not isinstance(raw_matrices, list) or not raw_matrices:
-                raise ParseError("matrices: expected a non-empty array of matrices")
-            parsed = []
-            for k, raw in enumerate(raw_matrices):
-                where = f"matrix {k + 1}"
-                parsed.append(located(where, TrMPR._of, _parse_matrix(raw, n, where), neutral))
-            matrices = tuple(parsed)
-            raw_weights = _require(data, "criteria_weights")
-            if not isinstance(raw_weights, list) or len(raw_weights) != len(matrices):
-                raise ParseError("criteria_weights: expected one weight per matrix")
-            criteria_weights = convex_weights(
-                [parse_scalar(w, f"criteria_weights[{k}]") for k, w in enumerate(raw_weights)],
-                "criteria_weights",
-            )
+        raw_matrices = _require(data, "matrices")
+        if not isinstance(raw_matrices, list) or not raw_matrices:
+            raise ParseError("matrices: expected a non-empty array of matrices")
+        parsed = []
+        for k, raw in enumerate(raw_matrices):
+            where = f"matrix {k + 1}"
+            parsed.append(located(where, TrMPR._of, _parse_matrix(raw, n, where), neutral))
+        matrices = tuple(parsed)
+        raw_weights = _require(data, "criteria_weights")
+        if not isinstance(raw_weights, list) or len(raw_weights) != len(matrices):
+            raise ParseError("criteria_weights: expected one weight per matrix")
+        criteria_weights = convex_weights(
+            [parse_scalar(w, f"criteria_weights[{k}]") for k, w in enumerate(raw_weights)],
+            "criteria_weights",
+        )
     return LoadedProblem(
         kind=kind,
         n=n,
-        scale=scale,
         relation=relation,
         matrices=matrices,
         criteria_weights=criteria_weights,

@@ -96,46 +96,44 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class NeutralElement:
-    """The diagonal element of a preference relation.
+    """The diagonal element of a preference relation; its scale decides its kind.
 
-    Additive neutrals are fixed points of negation (``a + d = 1`` and
-    ``b + c = 1``); multiplicative ones are fixed points of inversion
-    (``a * d = 1`` and ``b * c = 1``) and carry the scale they live on.
+    With no scale it is a fixed point of negation on ``[0, 1]`` (``a + d = 1``
+    and ``b + c = 1``); with a scale ``m``, a fixed point of inversion on
+    ``[1/m, m]`` (``a * d = 1`` and ``b * c = 1``).
     """
 
     value: TrFN
-    kind: str
     scale: int | None = None
 
     def __post_init__(self) -> None:
-        t = self.value
-        if self.kind == "additive":
-            if self.scale is not None:
-                raise ValidationError("additive neutral elements carry no scale")
-            fixed = _close_abs(t.a + t.d, 1.0) and _close_abs(t.b + t.c, 1.0)
-            op, mirror = "+", "negation"
-        elif self.kind == "multiplicative":
+        if self.scale is not None:
             _check_scale(self.scale)
-            fixed = _close_rel(t.a * t.d, 1.0) and _close_rel(t.b * t.c, 1.0)
-            op, mirror = "*", "inversion"
-        else:
-            raise ValidationError(f"unknown neutral element kind {self.kind!r}")
+        t, rule = self.value, self._relation
         lo, hi, span = _bounds(self.scale)
         if t.a < lo or t.d > hi:
             raise ValidationError(f"neutral element {t} leaves {span}")
-        if not fixed:
-            raise ValidationError(
-                f"neutral element {t} is not a fixed point of {mirror} "
-                f"(needs a {op} d = 1 and b {op} c = 1)"
-            )
+        if not rule._close(rule._combine([t.a, t.b], [t.d, t.c]), 1.0).all():
+            raise ValidationError(f"neutral element {t} is not a fixed point of {rule._fixed_rule}")
+
+    @property
+    def _relation(self) -> type:
+        """The relation class whose diagonal this neutral can hold."""
+        return TrFPR if self.scale is None else TrMPR
+
+    @property
+    def kind(self) -> str:
+        """``"additive"`` without a scale, ``"multiplicative"`` with one."""
+        return self._relation._kind
 
     @classmethod
     def additive(cls, value: TrFN) -> "NeutralElement":
-        return cls(value, "additive")
+        return cls(value)
 
     @classmethod
     def multiplicative(cls, value: TrFN, scale: int) -> "NeutralElement":
-        return cls(value, "multiplicative", scale)
+        _check_scale(scale)
+        return cls(value, scale)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -174,7 +172,7 @@ class _Relation:
         return cls._of(full, neutral)
 
     def _store(self, array: np.ndarray, neutral: NeutralElement) -> None:
-        if neutral.kind != self._kind:
+        if neutral._relation is not type(self):
             phrase = self._kind_phrase
             raise ValidationError(f"{phrase} relation needs {phrase} neutral element")
         array.flags.writeable = False
@@ -234,6 +232,7 @@ class TrFPR(_Relation):
     """An additive reciprocal preference relation over ``n`` alternatives."""
 
     _kind, _kind_phrase, _mirror_word = "additive", "an additive", "negation"
+    _fixed_rule = "negation (needs a + d = 1 and b + c = 1)"
     _combine = np.add
     _close = staticmethod(_close_abs)
     _mirror = staticmethod(lambda cells: 1.0 - cells[..., ::-1])
@@ -243,6 +242,7 @@ class TrMPR(_Relation):
     """A multiplicative reciprocal preference relation on the scale ``[1/m, m]``."""
 
     _kind, _kind_phrase, _mirror_word = "multiplicative", "a multiplicative", "inverse"
+    _fixed_rule = "inversion (needs a * d = 1 and b * c = 1)"
     _combine = np.multiply
     _close = staticmethod(_close_rel)
     _mirror = staticmethod(lambda cells: 1.0 / cells[..., ::-1])
@@ -396,7 +396,7 @@ def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
     otherwise no relation with that diagonal exists, and every produced
     component must land in ``[0, 1]``.
     """
-    if neutral.kind != "additive":
+    if neutral.scale is not None:
         raise ValidationError("from_utilities needs an additive neutral element")
     utilities = tuple(utilities)
     if not utilities:

@@ -344,7 +344,7 @@ class TestConvert:
         assert out == f"wrote multiplicative problem to {out_path}\n"
         back = load_problem(out_path)
         assert back.kind == "multiplicative"
-        assert back.scale == 9
+        assert back.relation.scale == 9
 
     def test_round_trip_preserves_entries(self, capsys, tmp_path):
         mid = tmp_path / "mid.json"
@@ -553,7 +553,6 @@ class TestExitCodes:
         assert out == ""
         assert err == "invalid: --scale: scale must be an integer >= 2, got 1\n"
         assert not out_path.exists()
-
 
 
 class TestStoredMagnitudeWeights:

@@ -100,7 +100,7 @@ class TestLoadProblem:
     def test_shipped_ratio_file(self):
         problem = load_problem(PROBLEMS / "example-ratio.json")
         assert problem.kind == "multiplicative"
-        assert problem.scale == 9
+        assert problem.relation.scale == 9
         assert isinstance(problem.relation, TrMPR)
         assert problem.relation.entry(0, 1).a == pytest.approx(9.0 ** 0.2, rel=1e-15)
         assert problem.sigma.components == (0.8, 0.9, 1.1, 1.2)
@@ -272,7 +272,7 @@ class TestSaveProblem:
         save_problem(path, y)
         back = load_problem(path)
         assert back.kind == "multiplicative"
-        assert back.scale == 9
+        assert back.relation.scale == 9
         for i in range(y.n):
             for j in range(y.n):
                 assert back.relation.entry(i, j) == y.entry(i, j)

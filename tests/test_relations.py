@@ -1,5 +1,6 @@
 """Reciprocal relation validation, scale mapping, and consistency checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,17 @@ class TestNeutralElement:
         with pytest.raises(ValidationError) as info:
             NeutralElement.multiplicative(TrFN(0.5, 1.0, 1.0, 2.0), scale)
         assert str(info.value) == f"scale must be an integer >= 2, got {scale!r}"
+
+    def test_scale_alone_decides_the_kind(self):
+        p = 9.0 ** 0.2
+        assert NeutralElement(TrFN(1.0 / p, 1.0, 1.0, p), 9).kind == "multiplicative"
+        assert NeutralElement(TrFN(0.4, 0.5, 0.5, 0.6)).kind == "additive"
+        assert [f.name for f in dataclasses.fields(NeutralElement)] == ["value", "scale"]
+
+    def test_a_kind_name_is_not_a_scale(self):
+        with pytest.raises(ValidationError) as info:
+            NeutralElement(TrFN(0.4, 0.5, 0.5, 0.6), "additive")
+        assert str(info.value) == "scale must be an integer >= 2, got 'additive'"
 
     def test_crisp_one_half_is_the_classic_neutral(self):
         ne = NeutralElement.additive(TrFN(0.5, 0.5, 0.5, 0.5))
