@@ -181,24 +181,21 @@ def cmd_convert(args, problem: LoadedProblem) -> _Output:
     return payload, [f"wrote {payload['kind']} problem to {payload['written']}"]
 
 
-_JSON = ("--json", dict(action="store_true", help="emit machine-readable JSON"))
 _MAG_WEIGHTS = ("--mag-weights", dict(
     metavar="W1,W2", help="magnitude weights, must satisfy 2*(w1+w2) = 1"))
 _SIGMA = ("--sigma", dict(metavar="A,B,C,D", help="total-utility target"))
 _FLAT = ("additive", "multiplicative")
 
 # Subcommand name, help, handler, the file kinds it takes with the refusal
-# of any other, and its options in --help order.
+# of any other, and its options in --help order after the file and --json.
 _COMMANDS = (
-    ("validate", "check a problem file", cmd_validate, KINDS, None, (_JSON,)),
+    ("validate", "check a problem file", cmd_validate, KINDS, None, ()),
     ("consistency", "transitivity diagnosis", cmd_consistency,
      _FLAT, "consistency expects an additive or multiplicative file", (
-        _JSON,
         ("--tol", dict(type=float, default=DEFAULT_CONSISTENCY_TOL, help="consistency tolerance")),
     )),
     ("utility", "derive ranking utilities", cmd_utility,
      _FLAT, "utility expects an additive or multiplicative file; use ahp", (
-        _JSON,
         _MAG_WEIGHTS,
         ("--model", dict(choices=[m.value for m in Model if m is not Model.QSIGMA])),
         _SIGMA,
@@ -206,9 +203,8 @@ _COMMANDS = (
     ("weights", "derive normalized fuzzy weights",
      functools.partial(cmd_utility, model=Model.PSIGMA),
      _FLAT, "weights expects an additive or multiplicative file; use ahp",
-     (_JSON, _MAG_WEIGHTS, _SIGMA)),
+     (_MAG_WEIGHTS, _SIGMA)),
     ("ahp", "multi-criteria pipeline", cmd_ahp, ("ahp",), "ahp expects a file of kind ahp", (
-        _JSON,
         _MAG_WEIGHTS,
         _SIGMA,
         ("--compare", dict(
@@ -217,8 +213,7 @@ _COMMANDS = (
     )),
     ("convert", "switch between the two scales", cmd_convert,
      _FLAT, "convert expects an additive or multiplicative file", (
-        _JSON,
-        ("--to", dict(required=True, choices=["additive", "multiplicative"])),
+        ("--to", dict(required=True, choices=_FLAT)),
         ("--scale", dict(type=int, default=9, help="target ratio scale (default 9)")),
         ("--out", dict(required=True, help="output path")),
     )),
@@ -235,6 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text, func, kinds, refusal, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
+        p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
         for flag, settings in options:
             p.add_argument(flag, **settings)
         p.set_defaults(func=func, kinds=kinds, refusal=refusal)

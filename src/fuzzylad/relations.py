@@ -24,6 +24,7 @@ alternatives are labelled in CLI output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -255,6 +256,8 @@ class TrMPR(_Relation):
 def _check_scale(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
         raise ValidationError(f"scale must be an integer >= 2, got {m!r}")
+    if m > sys.float_info.max:
+        raise ValidationError(f"scale must fit in a float, got a {m.bit_length()}-bit integer")
 
 
 def _require_kind(relation, cls: type, where: str) -> None:

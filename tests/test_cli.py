@@ -554,6 +554,38 @@ class TestExitCodes:
         assert err == "invalid: --scale: scale must be an integer >= 2, got 1\n"
         assert not out_path.exists()
 
+    def test_scale_beyond_a_float_exits_2_naming_the_flag(self, capsys, tmp_path):
+        out_path = tmp_path / "ratio.json"
+        code, out, err = run_cli(
+            capsys, "convert", ADDITIVE, "--to", "multiplicative", "--scale", str(10**400),
+            "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "invalid: --scale: scale must fit in a float, got a 1329-bit integer\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "command, original",
+        [
+            ("validate", "example-ratio.json"),
+            ("consistency", "example-ratio.json"),
+            ("validate", "portfolio.json"),
+            ("ahp", "portfolio.json"),
+        ],
+    )
+    def test_file_scale_beyond_a_float_exits_2_naming_the_file(
+        self, capsys, tmp_path, command, original
+    ):
+        doc = json.loads((PROBLEMS / original).read_text())
+        doc["scale"] = 10**400
+        path = tmp_path / "huge-scale.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"invalid: {path}: neutral: scale must fit in a float, got a 1329-bit integer\n"
+        )
+
 
 class TestStoredMagnitudeWeights:
     """A file's ``mag_weights`` field acts like ``--mag-weights``, and the flag wins."""

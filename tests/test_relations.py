@@ -80,6 +80,18 @@ class TestNeutralElement:
             NeutralElement(TrFN(0.4, 0.5, 0.5, 0.6), "additive")
         assert str(info.value) == "scale must be an integer >= 2, got 'additive'"
 
+    def test_scale_must_fit_in_a_float(self):
+        with pytest.raises(ValidationError) as info:
+            NeutralElement.multiplicative(TrFN(1.0, 1.0, 1.0, 1.0), 10**400)
+        assert str(info.value) == "scale must fit in a float, got a 1329-bit integer"
+        for refused in (lambda: phi(0.5, 10**400), lambda: phi_inv(1.0, 10**400)):
+            with pytest.raises(ValidationError, match="scale must fit in a float"):
+                refused()
+
+    def test_the_largest_scale_a_float_holds_is_accepted(self):
+        assert NeutralElement.multiplicative(TrFN(1.0, 1.0, 1.0, 1.0), 10**308).scale == 10**308
+        assert phi(1.0, 10**308) == 1e308
+
     def test_crisp_one_half_is_the_classic_neutral(self):
         ne = NeutralElement.additive(TrFN(0.5, 0.5, 0.5, 0.5))
         assert ne.value.components == (0.5, 0.5, 0.5, 0.5)
