@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, IterationLimitError
-from .group import combine_utilities, convex_weights
+from .group import _check_group, combine_utilities
 from .lad import UtilityVector, _validate_sigma, derive_weights, evaluate_objective
-from .relations import TrMPR, _check_group, _require_kind
+from .relations import TrMPR, _require_kind
 from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, rank
 
 __all__ = ["AhpProblem", "AhpResult", "run_ahp", "amm_weights", "gmm_weights", "deviation"]
@@ -37,9 +37,10 @@ class AhpProblem:
     mag_weights: MagWeights = DEFAULT_MAG_WEIGHTS
 
     def __post_init__(self) -> None:
-        weights = convex_weights(self.criteria_weights, "criteria weights")
+        matrices, weights = _check_group(
+            self.matrices, self.criteria_weights, "criteria weights", TrMPR, "criterion"
+        )
         object.__setattr__(self, "criteria_weights", weights)
-        matrices = _check_group(self.matrices, weights, TrMPR, "criterion")
         object.__setattr__(self, "matrices", matrices)
         _validate_sigma(self.sigma)
 

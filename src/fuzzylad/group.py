@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lad import Model, UtilityVector, derive_utility, evaluate_objective
-from .relations import TrFPR, _check_group
+from .relations import TrFPR, _bounds, _require_kind
 from .trfn import TrFN
 
 __all__ = ["GroupWeights", "BoundsReport", "aggregate_relations", "aggregate_utilities", "verify_bounds"]
@@ -44,6 +44,24 @@ def convex_weights(values: Sequence[float], name: str) -> tuple[float, ...]:
     return values
 
 
+def _check_group(members, weights, weights_name: str, cls: type, name: str) -> tuple:
+    """``(members, weights)``: ``cls`` relations of one size and neutral, one per convex weight."""
+    weights = convex_weights(weights, weights_name)
+    members = tuple(members)
+    if len(members) != len(weights):
+        raise ValidationError(f"got {len(weights)} weights for {len(members)} relations")
+    for k, member in enumerate(members):
+        _require_kind(member, cls, f"{name} {k + 1}")
+        first = members[0]
+        if member.n != first.n:
+            raise ValidationError(f"{name} {k + 1} has size {member.n}, expected {first.n}")
+        neutrals = (member.neutral, first.neutral)
+        if neutrals[0] != neutrals[1]:
+            got, want = (f"{t.value} on {_bounds(t.scale)[2]}" for t in neutrals)
+            raise ValidationError(f"{name} {k + 1} uses neutral element {got}, expected {want}")
+    return members, weights
+
+
 def weighted_sum(weights: Sequence[float], arrays: Sequence[np.ndarray]) -> np.ndarray:
     """``sum_k weights[k] * arrays[k]``, accumulated in order from zero."""
     total = np.zeros_like(arrays[0])
@@ -60,36 +78,29 @@ def combine_utilities(
     return tuple(TrFN(*row) for row in weighted_sum(weights, parts).tolist())
 
 
-@dataclass(frozen=True)
-class GroupWeights:
-    """Non-negative expert weights summing to one."""
+class GroupWeights(tuple):
+    """Non-negative expert weights summing to one, as a tuple of floats."""
 
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", convex_weights(self.values, "group weights"))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
+    def __new__(cls, values: Sequence[float]):
+        return super().__new__(cls, convex_weights(values, "group weights"))
 
 
-def aggregate_relations(relations: Sequence[TrFPR], weights: GroupWeights) -> TrFPR:
+def aggregate_relations(relations: Sequence[TrFPR], weights: Sequence[float]) -> TrFPR:
     """Entrywise convex combination of relations sharing a neutral element.
 
     The lower triangle is written as the negation of the combined upper
     triangle and the diagonal as the shared neutral element; both equal the
     entrywise combination mathematically but stay bit-exactly reciprocal.
     """
-    relations = _check_group(relations, weights, TrFPR, "relation")
+    relations, weights = _check_group(relations, weights, "group weights", TrFPR, "relation")
     combined = weighted_sum(weights, [rel.array for rel in relations])
     return TrFPR.from_upper(combined, relations[0].neutral)
 
 
 def aggregate_utilities(
-    vectors: Sequence[UtilityVector], weights: GroupWeights, matrix: TrFPR
+    vectors: Sequence[UtilityVector], weights: Sequence[float], matrix: TrFPR
 ) -> UtilityVector:
     """Convex combination of utility vectors, scored against ``matrix``.
 
@@ -97,7 +108,7 @@ def aggregate_utilities(
     is the deviation the combined utilities achieve on the supplied
     (typically aggregated) relation.
     """
-    vectors = tuple(vectors)
+    vectors, weights = tuple(vectors), convex_weights(weights, "group weights")
     if len(vectors) != len(weights):
         raise ValidationError(f"got {len(vectors)} vectors for {len(weights)} weights")
     n = vectors[0].n
@@ -119,9 +130,9 @@ class BoundsReport:
     holds: bool
 
 
-def verify_bounds(relations: Sequence[TrFPR], weights: GroupWeights) -> BoundsReport:
-    """Evaluate the aggregation bound chain for a group under model P."""
-    relations = tuple(relations)
+def verify_bounds(relations: Sequence[TrFPR], weights: Sequence[float]) -> BoundsReport:
+    """Evaluate the aggregation bound chain under model P, checking the group before any LP."""
+    relations, weights = _check_group(relations, weights, "group weights", TrFPR, "relation")
     per_expert = tuple(derive_utility(rel, Model.P) for rel in relations)
     merged = aggregate_relations(relations, weights)
     at_combined = aggregate_utilities(per_expert, weights, merged)

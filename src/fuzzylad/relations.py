@@ -373,23 +373,6 @@ def check_consistency_mult(y: TrMPR, tol: float = DEFAULT_CONSISTENCY_TOL) -> Co
     return _scan_triples(y, tol)
 
 
-def _check_group(members, weights, cls: type, name: str) -> tuple:
-    """``members`` as ``cls`` relations of one size and neutral element, one per weight."""
-    members = tuple(members)
-    if len(members) != len(weights):
-        raise ValidationError(f"got {len(weights)} weights for {len(members)} relations")
-    for k, member in enumerate(members):
-        _require_kind(member, cls, f"{name} {k + 1}")
-        first = members[0]
-        if member.n != first.n:
-            raise ValidationError(f"{name} {k + 1} has size {member.n}, expected {first.n}")
-        neutrals = (member.neutral, first.neutral)
-        if neutrals[0] != neutrals[1]:
-            got, want = (f"{t.value} on {_bounds(t.scale)[2]}" for t in neutrals)
-            raise ValidationError(f"{name} {k + 1} uses neutral element {got}, expected {want}")
-    return members
-
-
 def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
     """Rebuild the consistent relation a utility vector encodes.
 

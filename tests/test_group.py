@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fuzzylad.group
 from fuzzylad import (
     GroupWeights,
     Model,
@@ -17,6 +18,7 @@ from fuzzylad import (
     evaluate_objective,
     from_utilities,
     negate,
+    to_multiplicative,
     verify_bounds,
 )
 from conftest import rand_consistent_trfpr, rand_neutral, rand_trfpr
@@ -53,6 +55,59 @@ class TestGroupWeights:
     def test_sum_must_be_one(self):
         with pytest.raises(ValidationError):
             GroupWeights((0.5, 0.6))
+
+    def test_weights_are_a_plain_tuple_of_floats(self):
+        w = GroupWeights((0.5, 0.5))
+        assert isinstance(w, tuple) and w == (0.5, 0.5)
+        assert not hasattr(w, "values") and not hasattr(w, "__dataclass_fields__")
+
+
+def _entry_points(relation):
+    """Each group entry point, called on two copies of ``relation`` with the given weights."""
+    vector = derive_utility(relation, Model.P)
+    return {
+        "aggregate_relations": lambda w: aggregate_relations((relation, relation), w),
+        "aggregate_utilities": lambda w: aggregate_utilities((vector, vector), w, relation),
+        "verify_bounds": lambda w: verify_bounds((relation, relation), w),
+    }
+
+
+class TestEveryEntryPointChecksItsWeights:
+    @pytest.mark.parametrize("entry", ["aggregate_relations", "aggregate_utilities", "verify_bounds"])
+    @pytest.mark.parametrize("weights", [(0.5, 0.3), (1.5, -0.5)])
+    def test_plain_non_convex_weights_are_refused(self, base_relation, entry, weights):
+        with pytest.raises(ValidationError, match="^group weights"):
+            _entry_points(base_relation)[entry](weights)
+
+    def test_verify_bounds_takes_a_generator_of_relations(self, base_relation):
+        report = verify_bounds((r for r in (base_relation, base_relation)), (0.5, 0.5))
+        assert report.holds
+
+
+class TestVerifyBoundsChecksBeforeSolving:
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = []
+        original = fuzzylad.group.derive_utility
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fuzzylad.group, "derive_utility", counting)
+        return calls
+
+    def test_size_mismatch_is_refused_before_any_lp(self, base_relation, neutral_4556, derivations):
+        large = rand_trfpr(np.random.default_rng(0), 16, neutral=neutral_4556)
+        with pytest.raises(ValidationError, match="^relation 2 has size 16, expected 3$"):
+            verify_bounds((base_relation, large), (0.5, 0.5))
+        assert derivations == []
+
+    def test_ratio_relations_are_refused_before_any_lp(self, base_relation, derivations):
+        y = to_multiplicative(base_relation, 9)
+        with pytest.raises(ValidationError, match="^relation 1"):
+            verify_bounds((y, y), GroupWeights((0.5, 0.5)))
+        assert derivations == []
 
 
 class TestAggregateRelations:
