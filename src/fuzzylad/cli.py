@@ -83,7 +83,7 @@ def _require_sigma(args, problem: LoadedProblem) -> TrFN:
         raise ValidationError(
             "a total-utility target is required: pass --sigma or add a sigma field"
         )
-    return located(f"{args.file}: sigma", _validate_sigma, problem.sigma)
+    return problem.sigma
 
 
 def cmd_validate(args, problem: LoadedProblem) -> _Output:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError, located
 from .group import convex_weights
+from .lad import _validate_sigma
 from .relations import NeutralElement, TrFPR, TrMPR
 from .trfn import MagWeights, TrFN
 
@@ -125,16 +126,17 @@ def _parse_int(value, where: str) -> int:
 def load_problem(path) -> LoadedProblem:
     """Load and validate one problem file.
 
-    Structural problems (bad JSON, wrong types, missing fields) raise
+    Structural problems (no UTF-8 JSON, wrong types, missing fields) raise
     ParseError; semantically invalid data (broken reciprocity, a diagonal
     that is not the neutral element, out-of-range entries) raises
     ValidationError with 1-based coordinates in the message.
     """
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     kind = _require(data, "kind")
@@ -145,8 +147,9 @@ def load_problem(path) -> LoadedProblem:
         raise ParseError(f"n must be positive, got {n}")
     neutral_value = _parse_trfn(_require(data, "neutral"), "neutral")
 
-    sigma = _parse_trfn(data["sigma"], "sigma") if "sigma" in data else None
-    mag_weights = None
+    sigma = mag_weights = relation = matrices = criteria_weights = None
+    if "sigma" in data:
+        sigma = located("sigma", _validate_sigma, _parse_trfn(data["sigma"], "sigma"))
     if "mag_weights" in data:
         raw = data["mag_weights"]
         if not isinstance(raw, list) or len(raw) != 2:
@@ -154,7 +157,6 @@ def load_problem(path) -> LoadedProblem:
         w1, w2 = (parse_scalar(w, "mag_weights") for w in raw)
         mag_weights = located("mag_weights", MagWeights, w1, w2)
 
-    relation = matrices = criteria_weights = None
     scale = None if kind == "additive" else _parse_int(_require(data, "scale"), "scale")
     neutral = located("neutral", NeutralElement, neutral_value, scale)
     if kind != "ahp":

@@ -14,7 +14,6 @@ suboptimal utility for the merged relation, and the gap is sandwiched:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .lad import Model, UtilityVector, derive_utility, evaluate_objective
 from .relations import TrFPR, _bounds, _require_kind
-from .trfn import TrFN
+from .trfn import TrFN, _real
 
 __all__ = ["GroupWeights", "BoundsReport", "aggregate_relations", "aggregate_utilities", "verify_bounds"]
 
@@ -32,11 +31,11 @@ BOUND_SLACK = 1e-7
 
 def convex_weights(values: Sequence[float], name: str) -> tuple[float, ...]:
     """``values`` as floats, checked to be finite, non-negative and to sum to 1."""
-    values = tuple(float(v) for v in values)
+    values = tuple(_real(v, f"{name}: weight {k + 1}") for k, v in enumerate(values))
     if not values:
         raise ValidationError(f"{name} cannot be empty")
     for k, w in enumerate(values):
-        if not math.isfinite(w) or w < 0.0:
+        if w < 0.0:
             raise ValidationError(f"{name}: weight {k + 1} must be a non-negative real, got {w}")
     total = sum(values)
     if abs(total - 1.0) > 1e-12:
@@ -52,10 +51,9 @@ def _check_group(members, weights, weights_name: str, cls: type, name: str) -> t
         raise ValidationError(f"got {len(weights)} weights for {len(members)} relations")
     for k, member in enumerate(members):
         _require_kind(member, cls, f"{name} {k + 1}")
-        first = members[0]
-        if member.n != first.n:
-            raise ValidationError(f"{name} {k + 1} has size {member.n}, expected {first.n}")
-        neutrals = (member.neutral, first.neutral)
+        if member.n != members[0].n:
+            raise ValidationError(f"{name} {k + 1} has size {member.n}, expected {members[0].n}")
+        neutrals = (member.neutral, members[0].neutral)
         if neutrals[0] != neutrals[1]:
             got, want = (f"{t.value} on {_bounds(t.scale)[2]}" for t in neutrals)
             raise ValidationError(f"{name} {k + 1} uses neutral element {got}, expected {want}")

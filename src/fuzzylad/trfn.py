@@ -44,6 +44,19 @@ __all__ = [
 DEFAULT_TIE_TOL = 1e-9
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a finite float; a ValidationError naming ``what`` otherwise."""
+    try:
+        result = float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{what} does not fit in a float") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}={value!r} is not a real number") from exc
+    if not math.isfinite(result):
+        raise ValidationError(f"{what}={value!r} is not finite")
+    return result
+
+
 @dataclass(frozen=True)
 class TrFN:
     """A trapezoidal fuzzy number with ordered components ``a <= b <= c <= d``."""
@@ -55,13 +68,7 @@ class TrFN:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, float(value))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"component {name}={value!r} is not a real number") from exc
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"component {name}={value!r} is not finite")
+            object.__setattr__(self, name, _real(getattr(self, name), f"component {name}"))
         if not (self.a <= self.b <= self.c <= self.d):
             raise ValidationError(
                 f"components must satisfy a <= b <= c <= d, got "
@@ -96,8 +103,8 @@ def sub(t1: TrFN, t2: TrFN) -> TrFN:
 
 def scale(r: float, t: TrFN) -> TrFN:
     """Multiply every component by a strictly positive scalar ``r``."""
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
+    r = _real(r, "scale factor")
+    if r <= 0.0:
         raise ValidationError(f"scale factor must be a positive real, got {r}")
     return TrFN(r * t.a, r * t.b, r * t.c, r * t.d)
 
@@ -145,10 +152,8 @@ class MagWeights:
     w2: float = 5.0 / 12.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "w1", float(self.w1))
-        object.__setattr__(self, "w2", float(self.w2))
-        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
-            raise ValidationError("magnitude weights must be finite")
+        object.__setattr__(self, "w1", _real(self.w1, "magnitude weight w1"))
+        object.__setattr__(self, "w2", _real(self.w2, "magnitude weight w2"))
         if self.w1 <= 0.0 or self.w2 <= 0.0:
             raise ValidationError(
                 f"magnitude weights must be strictly positive, got ({self.w1}, {self.w2})"
