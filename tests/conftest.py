@@ -190,6 +190,11 @@ def rand_trfpr(rng, n, neutral=None, lattice=False):
     return TrFPR(_mirror_rows(upper, neutral.value, n), neutral)
 
 
+def relabel(x, perm):
+    """``x`` with its alternatives reordered: alternative ``perm[i]`` becomes alternative ``i``."""
+    return type(x)(tuple(tuple(x.entry(p, q) for q in perm) for p in perm), x.neutral)
+
+
 def rand_consistent_trfpr(rng, n, neutral=None, lattice=False, spread=None):
     """Random consistent relation built from per-alternative scores.
 

@@ -525,13 +525,27 @@ class TestExitCodes:
             "got T(0.0, 0.9, 1.1, 1.2)\n"
         )
 
-    @pytest.mark.parametrize("command", ["weights", "ahp"])
-    def test_bad_sigma_field_exits_2_naming_the_file_and_field(self, capsys, tmp_path, command):
-        doc = json.loads(Path(RATIO if command == "weights" else PORTFOLIO).read_text())
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("weights", []),
+            ("ahp", []),
+            ("validate", []),
+            ("consistency", []),
+            ("utility", []),
+            ("weights", ["--sigma", "0.8,0.9,1.1,1.2"]),
+        ],
+        ids=["weights", "ahp", "validate", "consistency", "utility", "weights-flag"],
+    )
+    def test_bad_sigma_field_exits_2_naming_the_file_and_field(
+        self, capsys, tmp_path, command, flags
+    ):
+        # The field is checked when the file loads, so a --sigma flag does not hide it.
+        doc = json.loads(Path(PORTFOLIO if command == "ahp" else RATIO).read_text())
         doc["sigma"] = [0, 0.9, 1.1, 1.2]
         path = tmp_path / "sigma.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, command, str(path))
+        code, _, err = run_cli(capsys, command, str(path), *flags)
         assert code == 2
         assert err == (
             f"invalid: {path}: sigma: the total-utility target must be strictly positive, "
@@ -630,6 +644,24 @@ def test_loader_refusals_exit_1(capsys, tmp_path, edit, message):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "validate", str(path)) == (1, "", f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'{"kind": "additive", "n": 3, "x": "\xff"}',
+        b'{"kind": "additive", "n": ' + b"1" * 5000 + b"}",
+        b"[" * 100_000,
+    ],
+    ids=["not-utf-8", "5000-digit-int", "deep-nesting"],
+)
+def test_unreadable_json_exits_1_naming_the_file(capsys, tmp_path, text):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(text)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+
 
 # The flags a subcommand does not read: each is a usage error there.
 UNREAD_FLAGS = [

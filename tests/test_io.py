@@ -1,13 +1,22 @@
 """Problem-file parsing, serialization, and error reporting."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fuzzylad import ParseError, TrFPR, TrMPR, ValidationError, to_multiplicative
-from fuzzylad.files import load_problem, parse_scalar, relation_to_dict, save_problem
+from fuzzylad.files import (
+    LoadedProblem,
+    load_problem,
+    parse_scalar,
+    relation_to_dict,
+    save_problem,
+)
 from conftest import rand_trfpr
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -226,13 +235,15 @@ UNORDERED = r"components must satisfy a <= b <= c <= d, got \(4\.0, 3\.0, 2\.0, 
          r"^mag_weights: magnitude weights must satisfy 2\*\(w1\+w2\) = 1"),
         ("example-ratio.json", ("sigma",), [1.2, 1.1, 0.9, 0.8],
          r"^sigma: components must satisfy a <= b <= c <= d"),
+        ("example-ratio.json", ("sigma",), [0, 0.9, 1.1, 1.2],
+         r"^sigma: the total-utility target must be strictly positive, got T\(0\.0, 0\.9, 1\.1, 1\.2\)$"),
         ("example-additive.json", ("matrix", 0, 1), [4, 3, 2, 5], r"^entry \(1,2\): " + UNORDERED),
         ("example-ratio.json", ("matrix", 0, 1), [4, 3, 2, 5], r"^entry \(1,2\): " + UNORDERED),
         ("portfolio.json", ("matrices", 1, 0, 1), [4, 3, 2, 5],
          r"^matrix 2: entry \(1,2\): " + UNORDERED),
     ],
     ids=["additive neutral", "unordered neutral", "multiplicative neutral", "mag_weights",
-         "sigma", "additive entry", "multiplicative entry", "ahp entry"],
+         "sigma", "non-positive sigma", "additive entry", "multiplicative entry", "ahp entry"],
 )
 def test_validation_errors_carry_their_full_location(tmp_path, name, path, value, message):
     doc = json.loads((PROBLEMS / name).read_text())
@@ -309,3 +320,57 @@ class TestSaveProblem:
         text = path.read_text()
         assert text.endswith("\n")
         json.loads(text)
+
+
+# Raw-byte fuzz of load_problem: truncation, spliced bytes (invalid UTF-8
+# among them), nesting past the recursion limit, and a digit run grown past
+# the int-string limit, applied to the shipped problem files.
+NAMES = sorted(path.name for path in PROBLEMS.glob("*.json"))
+RAW = [(PROBLEMS / name).read_bytes() for name in NAMES]
+SPLICES = [b"\xff", b"\xc3", b"\x00", b'"', b"[", b"]", b"{", b"}", b",", b"-", b"1e999", b"NaN"]
+DIGITS = re.compile(rb"\d+")
+
+
+def _edit_bytes(data: bytearray, op: str, where: int, payload: bytes) -> None:
+    at = where % (len(data) + 1)
+    if op == "truncate":
+        del data[at:]
+    elif op == "splice":
+        data[at:at] = payload
+    elif op == "nest":
+        data[at:at] = b"[" * 100_000
+    elif (run := DIGITS.search(data, at)) is not None:
+        data[run.start():run.end()] = b"1" * 5000
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("load-fuzz")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    base=st.sampled_from(range(len(RAW))),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["truncate", "splice", "nest", "digits"]),
+            st.integers(0, 10**5),
+            st.binary(max_size=6) | st.sampled_from(SPLICES),
+        ),
+        max_size=3,
+    ),
+)
+@example(base=NAMES.index("example-additive.json"), edits=[("splice", 10, b"\xff")])
+@example(base=NAMES.index("example-additive.json"), edits=[("digits", 0, b"")])
+@example(base=NAMES.index("portfolio.json"), edits=[("nest", 0, b"")])
+def test_load_problem_on_mutated_bytes_loads_or_refuses(fuzzdir, base, edits):
+    data = bytearray(RAW[base])
+    for edit in edits:
+        _edit_bytes(data, *edit)
+    path = fuzzdir / "mutated.json"
+    path.write_bytes(bytes(data))
+    try:
+        loaded = load_problem(path)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(loaded, LoadedProblem)

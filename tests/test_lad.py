@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzylad import (
     MAX_LP_ALTERNATIVES,
@@ -38,6 +40,7 @@ from conftest import (
     rand_consistent_trfpr,
     rand_trfn,
     rand_trfpr,
+    relabel,
 )
 
 PAPER_UTILITIES = (
@@ -407,3 +410,16 @@ class TestUtilityVectorInvariants:
     def test_free_model_allows_negative_support(self):
         u = UtilityVector((TrFN(-0.5, 0.2, 0.3, 0.4),), 0.0, Model.P0)
         assert u.utilities[0].a == -0.5
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), ratio=st.booleans(), data=st.data())
+def test_relabelling_leaves_the_objective(seed, n, ratio, data):
+    # Optimal vertices may differ between labellings; the optimum may not.
+    x = rand_trfpr(np.random.default_rng(seed), n)
+    if ratio:
+        x = to_multiplicative(x, 9)
+    y = relabel(x, data.draw(st.permutations(range(n))))
+    for model in (Model.P0, Model.P, Model.PUNIT):
+        gap = derive_utility(y, model).objective - derive_utility(x, model).objective
+        assert abs(gap) <= 1e-12, (model, gap)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzylad import (
     NeutralElement,
@@ -23,7 +25,7 @@ from fuzzylad import (
     to_multiplicative,
 )
 from fuzzylad.errors import OutOfUnitIntervalError
-from conftest import rand_consistent_trfpr, rand_neutral, rand_trfpr
+from conftest import rand_consistent_trfpr, rand_neutral, rand_trfpr, relabel
 
 N_TRIALS = 200
 
@@ -431,3 +433,21 @@ class TestFromUtilities:
             if n > 1:
                 assert entry.a == pytest.approx(u0.a + 1.0 - u1.d - t0.a, abs=1e-12)
                 assert entry.d == pytest.approx(u0.d + 1.0 - u1.a - t0.d, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    consistent=st.booleans(),
+    ratio=st.booleans(),
+    data=st.data(),
+)
+def test_relabelling_leaves_the_consistency_report_exactly(seed, n, consistent, ratio, data):
+    rng = np.random.default_rng(seed)
+    x = (rand_consistent_trfpr if consistent else rand_trfpr)(rng, n)
+    if ratio:
+        x = to_multiplicative(x, 9)
+    before = check_consistency(x)
+    after = check_consistency(relabel(x, data.draw(st.permutations(range(n)))))
+    assert (after.consistent, after.max_violation) == (before.consistent, before.max_violation)

@@ -7,6 +7,7 @@ import pytest
 
 from fuzzylad import (
     DEFAULT_MAG_WEIGHTS,
+    GroupWeights,
     MagWeights,
     TrFN,
     ValidationError,
@@ -24,6 +25,7 @@ from fuzzylad import (
 from conftest import rand_trfn
 
 N_TRIALS = 250
+HUGE = 10**400
 
 
 class TestConstruction:
@@ -56,6 +58,26 @@ class TestConstruction:
     def test_non_finite_components_are_rejected(self, bad):
         with pytest.raises(ValidationError):
             TrFN(0.0, 0.1, 0.2, bad)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TrFN("x", 1, 1, 1), r"component a='x' is not a real number"),
+            (lambda: TrFN(float("nan"), 1, 1, 1), r"component a=nan is not finite"),
+            (lambda: TrFN(HUGE, HUGE, HUGE, HUGE), r"component a does not fit in a float"),
+            (lambda: TrFN(-HUGE, 0, 0, 0), r"component a does not fit in a float"),
+            (lambda: MagWeights(HUGE, 0.25), r"magnitude weight w1 does not fit in a float"),
+            (lambda: MagWeights("x", 0.25), r"magnitude weight w1='x' is not a real number"),
+            (lambda: GroupWeights((HUGE,)), r"group weights: weight 1 does not fit in a float"),
+            (lambda: GroupWeights(("x",)), r"group weights: weight 1='x' is not a real number"),
+            (lambda: scale(HUGE, TrFN(1, 2, 3, 4)), r"scale factor does not fit in a float"),
+        ],
+        ids=["trfn-text", "trfn-nan", "trfn-huge", "trfn-negative-huge", "mag-huge", "mag-text",
+             "group-huge", "group-text", "scale-huge"],
+    )
+    def test_a_value_no_float_holds_is_refused_naming_its_field(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
 
     def test_str_is_readable(self):
         assert str(TrFN(0.0, 0.25, 0.5, 1.0)) == "T(0.0, 0.25, 0.5, 1.0)"
