@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, IterationLimitError
+from .errors import located
 from .group import _check_group, combine_utilities
 from .lad import UtilityVector, _validate_sigma, derive_weights, evaluate_objective
 from .relations import TrMPR, _require_kind
@@ -58,15 +58,12 @@ def run_ahp(problem: AhpProblem) -> AhpResult:
     """Derive local weights per criterion, combine, and rank.
 
     Global weight ``i`` is the criteria-weighted componentwise sum of the
-    local weights for alternative ``i``.  Solver failures are re-raised
-    with the offending criterion index attached.
+    local weights for alternative ``i``.  A refusal or pivot-budget error
+    names its criterion.
     """
     local: list[UtilityVector] = []
     for k, y in enumerate(problem.matrices):
-        try:
-            local.append(derive_weights(y, problem.sigma))
-        except (InfeasibleError, IterationLimitError) as exc:
-            raise type(exc)(f"criterion {k + 1}: {exc}") from exc
+        local.append(located(f"criterion {k + 1}", derive_weights, y, problem.sigma))
     global_weights = combine_utilities(problem.criteria_weights, local)
     ranking = rank(global_weights, problem.mag_weights)
     return AhpResult(

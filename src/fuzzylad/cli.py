@@ -11,8 +11,7 @@ Each command builds one result: a payload, and text lines formatted from
 the payload's own values.  ``main`` prints it once, as JSON under
 ``--json`` and as the text otherwise.
 
-Exit codes: 0 success, 1 parse error, 2 validation failure, 3 the
-optimization model is infeasible.
+Exit codes: 0 success, 1 parse error or solver failure, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import sys
 from typing import Sequence
 
 from .ahp import AhpProblem, amm_weights, deviation, gmm_weights, run_ahp
-from .errors import InfeasibleError, ParseError, SizeLimitError, ValidationError, located
+from .errors import ParseError, SizeLimitError, ValidationError, located
 from .files import KINDS, LoadedProblem, load_problem, parse_scalar, save_problem
 from .lad import Model, _validate_sigma, derive_utility
 from .relations import DEFAULT_CONSISTENCY_TOL, check_consistency, to_additive, to_multiplicative
@@ -252,9 +251,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
     except (ParseError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

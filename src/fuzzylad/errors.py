@@ -28,7 +28,7 @@ class NotConsistentError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """The optimization model admits no feasible point."""
+    """A model admits no feasible point; not raised, since every deviation LP has one."""
 
 
 class IterationLimitError(RuntimeError):
@@ -40,8 +40,8 @@ class ParseError(ValueError):
 
 
 def located(where: str, build, *args):
-    """``build(*args)``, with a ValidationError's or ParseError's message prefixed by ``where``."""
+    """``build(*args)``, with a refusal's or pivot-budget error's message prefixed by ``where``."""
     try:
         return build(*args)
-    except (ValidationError, ParseError) as exc:
+    except (ValidationError, ParseError, IterationLimitError) as exc:
         raise type(exc)(f"{where}: {exc}") from exc

@@ -30,13 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InfeasibleError,
-    IterationLimitError,
-    NotConsistentError,
-    SizeLimitError,
-    ValidationError,
-)
+from .errors import NotConsistentError, SizeLimitError, ValidationError, located
 from .relations import (
     DEFAULT_CONSISTENCY_TOL,
     TrFPR,
@@ -78,7 +72,7 @@ MAX_LP_ALTERNATIVES = 15
 # absolute while the target scales the LP, so u_k = sigma / n, always
 # feasible, can read as infeasible.  Targets d * (2/3, 3/4, 11/12, 1), d up
 # by 10^(1/16), over 6 shipped, 40 seeded n = 3-7 and 24 seeded n = 8-15
-# relations first failed at d = 2.05e5 (n = 11 and 12, InfeasibleError).
+# relations first failed at d = 2.05e5 (n = 11 and 12, a solver error).
 MAX_SIGMA = 1e4
 
 
@@ -260,16 +254,10 @@ def derive_utility(
     label = Model.QSIGMA if model is Model.PSIGMA and isinstance(x, TrMPR) else model
     x = _additive(x)
     lp = build_lp(x, model, sigma)
-    try:
-        solution = solve(lp)
-    except IterationLimitError as exc:
-        raise IterationLimitError(f"n = {x.n}, model {model.value}: {exc}") from exc
-    if solution.status is LpStatus.INFEASIBLE:
-        raise InfeasibleError(
-            f"model {model.value} admits no utilities for the given total-utility target"
-        )
+    solution = located(f"n = {x.n}, model {model.value}", solve, lp)
     if solution.status is not LpStatus.OPTIMAL:
-        raise ArithmeticError("the deviation objective is bounded below; solver defect")
+        status = solution.status.value
+        raise ArithmeticError(f"the solver read the deviation LP {status}; every one has an optimum")
     utilities = _extract_utilities(solution.x, x.n, model)
     recomputed = evaluate_objective(x, utilities)
     if abs(recomputed - solution.objective_value) > OBJECTIVE_AGREEMENT_TOL:

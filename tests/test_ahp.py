@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from fuzzylad import (
+    MAX_LP_ALTERNATIVES,
     AhpProblem,
+    IterationLimitError,
     MagWeights,
+    SizeLimitError,
     TrFN,
     ValidationError,
     amm_weights,
@@ -15,8 +18,11 @@ from fuzzylad import (
     gmm_weights,
     magnitude,
     run_ahp,
+    simplex,
     to_additive,
+    to_multiplicative,
 )
+from conftest import rand_trfpr
 
 PAPER_MAGNITUDES = (0.4082, 0.3699, 0.0652, 0.1567)
 
@@ -149,6 +155,27 @@ class TestPipeline:
         res = run_ahp(custom)
         for mag, w in zip(res.magnitudes, res.global_weights):
             assert mag == pytest.approx(magnitude(w, MagWeights(0.25, 0.25)), abs=1e-12)
+
+
+class TestSolverErrors:
+    def test_pivot_budget_error_names_the_criterion_n_and_the_model(self, problem, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 5)
+        with pytest.raises(IterationLimitError) as info:
+            run_ahp(problem)
+        assert str(info.value) == (
+            "criterion 1: n = 4, model psigma: "
+            "simplex pivot budget exhausted after 5 pivots in this phase"
+        )
+
+    def test_criteria_above_the_lp_size_limit_are_refused_naming_the_criterion(self, sigma_unit):
+        n = MAX_LP_ALTERNATIVES + 1
+        y = to_multiplicative(rand_trfpr(np.random.default_rng(16), n), 9)
+        with pytest.raises(SizeLimitError) as info:
+            run_ahp(AhpProblem((1.0,), (y,), sigma_unit))
+        assert str(info.value) == (
+            f"criterion 1: the deviation LP takes at most {MAX_LP_ALTERNATIVES} alternatives, "
+            f"got {n}"
+        )
 
 
 class TestBaselines:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_consistent_trfpr
-from fuzzylad import MAX_LP_ALTERNATIVES, MAX_SIGMA, InfeasibleError, load_problem, save_problem
+from fuzzylad import MAX_LP_ALTERNATIVES, MAX_SIGMA, load_problem, save_problem
 from fuzzylad.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -430,16 +430,6 @@ class TestConvert:
 
 
 class TestExitCodes:
-    def test_infeasible_maps_to_3(self, capsys, monkeypatch):
-        def raiser(*args, **kwargs):
-            raise InfeasibleError("no feasible utility vector")
-
-        monkeypatch.setattr("fuzzylad.cli.derive_utility", raiser)
-        code, out, err = run_cli(capsys, "utility", ADDITIVE)
-        assert code == 3
-        assert out == ""
-        assert err == "infeasible: no feasible utility vector\n"
-
     def test_arithmetic_errors_map_to_1(self, capsys, monkeypatch):
         def raiser(*args, **kwargs):
             raise ArithmeticError("objective mismatch")

@@ -5,11 +5,11 @@ value of the wrong type, a non-finite string, a ragged matrix, a huge or
 non-positive ``n`` or ``scale``), then runs one subcommand on it, with and
 without ``--json``, giving some of the flags that subcommand reads a fuzzed
 value: non-finite text, a wrong count, zero, a negative or a 400-digit
-number.  Whatever the file and flags hold, ``main`` returns 0, 1, 2 or 3,
-or argparse exits 2 on a usage error that names the flag.  A failure
-prints nothing on stdout and exactly one stderr line with one of the
-three prefixes; at exit 1 or 2 that line says where the fault is: it names
-the file's path or a flag, or it is a refusal ``cli_golden.json`` pins.
+number.  Whatever the file and flags hold, ``main`` returns 0, 1 or 2, or
+argparse exits 2 on a usage error that names the flag.  A failure prints
+nothing on stdout and exactly one stderr line, prefixed ``error:`` or
+``invalid:``, that says where the fault is: it names the file's path or a
+flag, or it is a refusal ``cli_golden.json`` pins.
 A success prints nothing on stderr.  Any other exception escaping ``main``
 fails the test.
 """
@@ -62,7 +62,7 @@ ALL_FLAGS = (*FLAG_VALUES, "--out", "--compare", "--json")
 WRONG_TYPES = [None, True, "x", 3, 2.5, [], {}, [[1, 2, 3, 4]], HUGE]
 NON_FINITE = ["nan", "9^1000", "-8^0.5", "inf", "-inf", "1/0"]
 DECLARED = [10**6, 10**18, HUGE, 0, -3, 1]
-PREFIXES = ("error:", "invalid:", "infeasible:")
+PREFIXES = ("error:", "invalid:")
 
 
 def _paths(node, path=()):
@@ -191,7 +191,7 @@ def test_main_exits_with_a_known_code_and_one_located_line(
         return
     out, err = capsys.readouterr()
 
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2)
     if code == 0:
         assert err == ""
         if as_json:
@@ -202,5 +202,4 @@ def test_main_exits_with_a_known_code_and_one_located_line(
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1, err
         assert err.startswith(PREFIXES), err
-        if code in (1, 2):
-            assert str(path) in err or any(flag in err for flag in ALL_FLAGS) or err in PINNED, err
+        assert str(path) in err or any(flag in err for flag in ALL_FLAGS) or err in PINNED, err

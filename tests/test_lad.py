@@ -15,6 +15,7 @@ from fuzzylad import (
     NotConsistentError,
     SizeLimitError,
     TrFN,
+    TrMPR,
     UtilityVector,
     ValidationError,
     add,
@@ -33,7 +34,7 @@ from fuzzylad import (
     to_additive,
     to_multiplicative,
 )
-from fuzzylad.simplex import LpStatus, solve
+from fuzzylad.simplex import LpSolution, LpStatus, solve
 from conftest import (
     LATTICE,
     lattice_value,
@@ -48,6 +49,22 @@ PAPER_UTILITIES = (
     TrFN(0.1, 0.1, 0.1, 0.3),
     TrFN(0.0, 0.0, 0.0, 0.2),
 )
+
+SIGMA_AT_THE_LIMIT = TrFN(*(MAX_SIGMA * r for r in (0.8 / 1.2, 0.9 / 1.2, 1.1 / 1.2, 1.0)))
+
+
+def feasible_point(x, sigma):
+    """Zero utilities, or ``sigma / n`` each, with every deviation at its cell's |residual|.
+
+    Variables are laid out as in ``build_lp``: utility components first,
+    then one deviation per cell (i, j) and component, row-major.
+    """
+    x = to_additive(x) if isinstance(x, TrMPR) else x
+    share = np.zeros(4) if sigma is None else np.array(sigma.components) / x.n
+    u = np.tile(share, (x.n, 1))
+    rebuilt = u[:, None, :] + (1.0 - u[None, :, ::-1])
+    residual = x.array + np.array(x.neutral.value.components) - rebuilt
+    return np.concatenate([u.ravel(), np.abs(residual).ravel()])
 
 
 class TestEvaluateObjective:
@@ -182,6 +199,23 @@ class TestBuildLp:
         assert solution.status is LpStatus.OPTIMAL
         assert peak <= 1.1 * (tableau_bytes + program_bytes)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_lp_has_a_feasible_point_and_an_objective_bounded_below(self, n):
+        additive = rand_trfpr(np.random.default_rng(1500 + n), n)
+        cases = [(Model.P0, None), (Model.P, None), (Model.PUNIT, None)]
+        cases += [(Model.PSIGMA, TrFN(0.8, 0.9, 1.1, 1.2)), (Model.PSIGMA, SIGMA_AT_THE_LIMIT)]
+        for x in (additive, to_multiplicative(additive, 9)):
+            for model, sigma in cases:
+                lp = build_lp(x, model, sigma)
+                z = feasible_point(x, sigma)
+                scale = 1.0 + max(np.abs(lp.b_ub).max(), np.abs(lp.b_eq).max(initial=0.0))
+                assert np.max(lp.a_ub @ z - lp.b_ub) <= 1e-12 * scale
+                assert np.max(np.abs(lp.a_eq @ z - lp.b_eq), initial=0.0) <= 1e-12 * scale
+                lower, upper = np.array(lp.bounds).T
+                assert np.all(lower <= z) and np.all(z <= upper)
+                # Costs only on variables bounded below by 0 keep c @ z >= 0 on the feasible set.
+                assert np.all(lp.c[lower >= 0.0] >= 0.0) and np.all(lp.c[lower < 0.0] == 0.0)
+
     def test_the_size_limit_itself_is_accepted(self):
         x = rand_consistent_trfpr(np.random.default_rng(41), MAX_LP_ALTERNATIVES)
         assert build_lp(x, Model.P).num_vars == 4 * 15 + 4 * 15 * 15
@@ -282,6 +316,14 @@ class TestDeriveUtility:
         with pytest.raises(IterationLimitError, match=r"^n = 3, model punit: simplex pivot budget"):
             derive_utility(base_relation, Model.PUNIT)
 
+    @pytest.mark.parametrize("status", [LpStatus.INFEASIBLE, LpStatus.UNBOUNDED])
+    def test_any_status_but_optimal_is_a_solver_error_naming_it(
+        self, base_relation, monkeypatch, status
+    ):
+        monkeypatch.setattr("fuzzylad.lad.solve", lambda lp: LpSolution(status, None, None, 0))
+        with pytest.raises(ArithmeticError, match=f"solver read the deviation LP {status.value};"):
+            derive_utility(base_relation, Model.PUNIT)
+
     def test_weights_model_is_rejected_here(self, ratio_relation):
         with pytest.raises(ValidationError):
             derive_utility(to_additive(ratio_relation), Model.QSIGMA)
@@ -347,7 +389,7 @@ class TestRatioScalePaths:
 
     def test_target_at_the_limit_solves_the_largest_relation(self):
         x = rand_trfpr(np.random.default_rng(2150), MAX_LP_ALTERNATIVES)
-        sigma = TrFN(*(MAX_SIGMA * r for r in (0.8 / 1.2, 0.9 / 1.2, 1.1 / 1.2, 1.0)))
+        sigma = SIGMA_AT_THE_LIMIT
         result = derive_utility(x, Model.PSIGMA, sigma)
         for comp in range(4):
             total = sum(u.components[comp] for u in result.utilities)
