@@ -109,13 +109,16 @@ def aggregate_utilities(
     vectors, weights = tuple(vectors), convex_weights(weights, "group weights")
     if len(vectors) != len(weights):
         raise ValidationError(f"got {len(vectors)} vectors for {len(weights)} weights")
-    n = vectors[0].n
+    n, model = vectors[0].n, vectors[0].model
     for e, vec in enumerate(vectors):
         if vec.n != n:
             raise ValidationError(f"vector {e + 1} has length {vec.n}, expected {n}")
+        if vec.model is not model:
+            got, want = vec.model.value, model.value
+            raise ValidationError(f"vector {e + 1} has model {got}, expected {want}")
     combined = combine_utilities(weights, vectors)
     objective = evaluate_objective(matrix, combined)
-    return UtilityVector(combined, objective, vectors[0].model)
+    return UtilityVector(combined, objective, model)
 
 
 @dataclass(frozen=True)

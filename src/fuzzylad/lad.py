@@ -40,7 +40,7 @@ from .relations import (
     to_additive,
 )
 from .simplex import LinearProgram, LpStatus, solve
-from .trfn import TrFN, add, crisp
+from .trfn import TrFN, _trfns, add, crisp
 
 __all__ = [
     "Model",
@@ -98,12 +98,9 @@ class UtilityVector:
     model: Model
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "utilities", tuple(self.utilities))
+        object.__setattr__(self, "utilities", _trfns(self.utilities))
         if not self.utilities:
             raise ValidationError("a utility vector needs at least one entry")
-        for k, u in enumerate(self.utilities):
-            if not isinstance(u, TrFN):
-                raise ValidationError(f"utility {k + 1} is not a trapezoidal number")
         if self.objective < 0.0:
             raise ValidationError(f"objective must be non-negative, got {self.objective}")
         lower_a, upper_d = self.model.bounds
@@ -137,7 +134,7 @@ def evaluate_objective(x: TrFPR | TrMPR, utilities: Sequence[TrFN]) -> float:
     ``u_i + (u_j negated)`` in normalized L1 distance and sums up.
     """
     x = _additive(x)
-    utilities = tuple(utilities)
+    utilities = _trfns(utilities)
     if len(utilities) != x.n:
         raise ValidationError(f"expected {x.n} utilities, got {len(utilities)}")
     u = np.array([t.components for t in utilities])
@@ -257,7 +254,7 @@ def derive_utility(
     solution = located(f"n = {x.n}, model {model.value}", solve, lp)
     if solution.status is not LpStatus.OPTIMAL:
         status = solution.status.value
-        raise ArithmeticError(f"the solver read the deviation LP {status}; every one has an optimum")
+        raise ArithmeticError(f"the solver read the deviation LP {status}; each has an optimum")
     utilities = _extract_utilities(solution.x, x.n, model)
     recomputed = evaluate_objective(x, utilities)
     if abs(recomputed - solution.objective_value) > OBJECTIVE_AGREEMENT_TOL:

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OutOfUnitIntervalError, ValidationError
-from .trfn import TrFN
+from .trfn import TrFN, _float, _trfns
 
 __all__ = [
     "NeutralElement",
@@ -270,7 +270,7 @@ def _require_kind(relation, cls: type, where: str) -> None:
 def phi(x: float, m: int) -> float:
     """Map a unit-interval score to the ratio scale: ``m ** (2x - 1)``."""
     _check_scale(m)
-    x = float(x)
+    x = _float(x, "phi argument x")
     lo, hi, span = _bounds(None)
     if not lo <= x <= hi:
         raise ValidationError(f"phi expects a value in {span}, got {x}")
@@ -281,7 +281,7 @@ def phi(x: float, m: int) -> float:
 def phi_inv(y: float, m: int) -> float:
     """Inverse map, ``1/2 + log_m(y) / 2``, clamped against rounding dust."""
     _check_scale(m)
-    y = float(y)
+    y = _float(y, "phi_inv argument y")
     lo, hi, span = _bounds(m)
     if not lo <= y <= hi:
         raise ValidationError(f"phi_inv expects a value in {span}, got {y}")
@@ -384,15 +384,13 @@ def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
     """
     if neutral.scale is not None:
         raise ValidationError("from_utilities needs an additive neutral element")
-    utilities = tuple(utilities)
+    utilities = _trfns(utilities)
     if not utilities:
         raise ValidationError("from_utilities needs at least one utility")
     t0 = neutral.value
     support_spread = t0.d - t0.a
     core_spread = t0.c - t0.b
     for k, u in enumerate(utilities):
-        if not isinstance(u, TrFN):
-            raise ValidationError(f"utility {k + 1} is not a trapezoidal number")
         if abs((u.d - u.a) - support_spread) > 1e-9 or abs((u.c - u.b) - core_spread) > 1e-9:
             raise ValidationError(
                 f"utility {k + 1} = {u} has spreads incompatible with the neutral "

@@ -44,14 +44,19 @@ __all__ = [
 DEFAULT_TIE_TOL = 1e-9
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a finite float; a ValidationError naming ``what`` otherwise."""
+def _float(value, what: str) -> float:
+    """``value`` as a float, perhaps not finite; a ValidationError naming ``what`` otherwise."""
     try:
-        result = float(value)
+        return float(value)
     except OverflowError as exc:
         raise ValidationError(f"{what} does not fit in a float") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what}={value!r} is not a real number") from exc
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a finite float; a ValidationError naming ``what`` otherwise."""
+    result = _float(value, what)
     if not math.isfinite(result):
         raise ValidationError(f"{what}={value!r} is not finite")
     return result
@@ -84,6 +89,15 @@ class TrFN:
 
     def __str__(self) -> str:
         return f"T({self.a}, {self.b}, {self.c}, {self.d})"
+
+
+def _trfns(values, what: str = "utility") -> tuple[TrFN, ...]:
+    """``values`` as a tuple of TrFNs; a ValidationError naming entry ``what k`` otherwise."""
+    values = tuple(values)
+    for k, t in enumerate(values):
+        if not isinstance(t, TrFN):
+            raise ValidationError(f"{what} {k + 1} is not a trapezoidal number")
+    return values
 
 
 def crisp(x: float) -> TrFN:
@@ -207,6 +221,7 @@ def rank(
     preserved, so appending a duplicate never reshuffles existing entries.
     Adjacent magnitudes closer than ``tie_tol`` fall into the same group.
     """
+    values = _trfns(values, "rank: value")
     if not values:
         raise ValidationError("cannot rank an empty sequence")
     if not tie_tol >= 0.0:

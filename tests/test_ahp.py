@@ -209,6 +209,10 @@ class TestBaselines:
         weights = amm_weights(y1)
         assert deviation(y1, weights) == evaluate_objective(to_additive(y1), weights)
 
+    def test_deviation_refuses_weights_that_are_not_trapezoids(self, portfolio):
+        with pytest.raises(ValidationError, match="^utility 1 is not a trapezoidal number$"):
+            deviation(portfolio["matrices"][0], (1, 2, 3, 4))
+
     def test_baseline_weights_are_positive_and_ordered(self, portfolio, ratio_relation):
         for y in portfolio["matrices"] + (ratio_relation,):
             for w in amm_weights(y) + gmm_weights(y):

@@ -10,6 +10,7 @@ from fuzzylad import (
     TrFPR,
     NeutralElement,
     TrFN,
+    UtilityVector,
     ValidationError,
     aggregate_relations,
     aggregate_utilities,
@@ -215,6 +216,19 @@ class TestAggregateUtilities:
         v1 = derive_utility(base_relation, Model.P)
         with pytest.raises(ValidationError):
             aggregate_utilities((v1,), GroupWeights((0.5, 0.5)), base_relation)
+
+    def test_vectors_of_different_lengths_are_rejected(self, base_relation):
+        v1 = derive_utility(base_relation, Model.P)
+        v2 = UtilityVector(v1.utilities[:2], 0.0, Model.P)
+        with pytest.raises(ValidationError, match="^vector 2 has length 2, expected 3$"):
+            aggregate_utilities((v1, v2), GroupWeights((0.5, 0.5)), base_relation)
+
+    @pytest.mark.parametrize("order", [(Model.P, Model.PUNIT), (Model.PUNIT, Model.P)])
+    def test_vectors_of_different_models_are_rejected_in_either_order(self, base_relation, order):
+        vectors = tuple(derive_utility(base_relation, model) for model in order)
+        expected = f"^vector 2 has model {order[1].value}, expected {order[0].value}$"
+        with pytest.raises(ValidationError, match=expected):
+            aggregate_utilities(vectors, GroupWeights((0.5, 0.5)), base_relation)
 
 
 class TestBoundChain:

@@ -80,6 +80,12 @@ class TestEvaluateObjective:
         with pytest.raises(ValidationError):
             evaluate_objective(base_relation, PAPER_UTILITIES[:2])
 
+    def test_utilities_must_be_trapezoids(self, base_relation, portfolio):
+        with pytest.raises(ValidationError, match="^utility 1 is not a trapezoidal number$"):
+            evaluate_objective(base_relation, [1, 2, 3])
+        with pytest.raises(ValidationError, match="^utility 1 is not a trapezoidal number$"):
+            evaluate_objective(portfolio["matrices"][0], [1, 2, 3, 4])
+
     def test_shift_invariance_is_exact_on_a_lattice(self):
         # Adding the same crisp constant to every utility must not move
         # the objective at all: every rebuilt comparison gains and loses
@@ -219,6 +225,10 @@ class TestBuildLp:
     def test_the_size_limit_itself_is_accepted(self):
         x = rand_consistent_trfpr(np.random.default_rng(41), MAX_LP_ALTERNATIVES)
         assert build_lp(x, Model.P).num_vars == 4 * 15 + 4 * 15 * 15
+
+    def test_target_must_be_a_trapezoid(self, base_relation):
+        with pytest.raises(ValidationError, match="target must be a trapezoidal number$"):
+            build_lp(base_relation, Model.PSIGMA, (0.8, 0.9, 1.1, 1.2))
 
     def test_nonpositive_target_is_rejected(self, base_relation):
         with pytest.raises(ValidationError):
@@ -448,6 +458,14 @@ class TestUtilityVectorInvariants:
     def test_unit_model_rejects_support_past_one(self):
         with pytest.raises(ValidationError):
             UtilityVector((TrFN(0.1, 0.2, 0.3, 1.4),), 0.0, Model.PUNIT)
+
+    def test_no_entries_are_rejected(self):
+        with pytest.raises(ValidationError, match="^a utility vector needs at least one entry$"):
+            UtilityVector((), 0.0, Model.P)
+
+    def test_entries_must_be_trapezoids(self):
+        with pytest.raises(ValidationError, match="^utility 2 is not a trapezoidal number$"):
+            UtilityVector((TrFN(0.1, 0.2, 0.3, 0.4), (0.1, 0.2, 0.3, 0.4)), 0.0, Model.P)
 
     def test_free_model_allows_negative_support(self):
         u = UtilityVector((TrFN(-0.5, 0.2, 0.3, 0.4),), 0.0, Model.P0)

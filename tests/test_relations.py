@@ -170,6 +170,15 @@ class TestTrFPRValidation:
         with pytest.raises(ValidationError):
             TrFPR(((t0,),), ratio_neutral)
 
+    def test_no_alternatives_are_rejected(self, neutral_4556):
+        with pytest.raises(ValidationError, match="^a preference relation needs at least one"):
+            TrFPR([], neutral_4556)
+
+    def test_entries_must_be_trapezoids(self, neutral_4556):
+        t0 = neutral_4556.value
+        with pytest.raises(ValidationError, match=r"^entry \(1,2\) is not a trapezoidal number$"):
+            TrFPR(((t0, (0.4, 0.5, 0.5, 0.6)), (t0, t0)), neutral_4556)
+
     def test_random_mirrored_relations_validate(self):
         rng = np.random.default_rng(21)
         for _ in range(60):
@@ -242,6 +251,21 @@ class TestScaleMap:
         with pytest.raises(ValidationError) as info:
             fn(value, 9)
         assert str(info.value) == f"{fn.__name__} expects a value in {span}, got {value}"
+
+    @pytest.mark.parametrize(
+        "fn, value, message",
+        [
+            (phi, 10**400, "phi argument x does not fit in a float"),
+            (phi_inv, 10**400, "phi_inv argument y does not fit in a float"),
+            (phi, "x", "phi argument x='x' is not a real number"),
+            (phi_inv, None, "phi_inv argument y=None is not a real number"),
+        ],
+        ids=["phi-huge", "phi_inv-huge", "phi-text", "phi_inv-none"],
+    )
+    def test_values_that_are_no_float_are_rejected_naming_the_function(self, fn, value, message):
+        with pytest.raises(ValidationError) as info:
+            fn(value, 9)
+        assert str(info.value) == message
 
     def test_monotone_increasing(self):
         rng = np.random.default_rng(23)
@@ -396,6 +420,18 @@ class TestFromUtilities:
         x = from_utilities(utilities, neutral_4556)
         assert x.entry(0, 0) == neutral_4556.value
         assert x.entry(1, 1) == neutral_4556.value
+
+    def test_a_multiplicative_neutral_is_rejected(self, ratio_neutral):
+        with pytest.raises(ValidationError, match="^from_utilities needs an additive neutral"):
+            from_utilities((ratio_neutral.value,), ratio_neutral)
+
+    def test_no_utilities_are_rejected(self, neutral_4556):
+        with pytest.raises(ValidationError, match="^from_utilities needs at least one utility$"):
+            from_utilities((), neutral_4556)
+
+    def test_utilities_must_be_trapezoids(self, neutral_4556):
+        with pytest.raises(ValidationError, match="^utility 2 is not a trapezoidal number$"):
+            from_utilities((neutral_4556.value, (0.4, 0.5, 0.5, 0.6)), neutral_4556)
 
     def test_spread_mismatch_is_rejected(self, neutral_4556):
         utilities = (TrFN(0.2, 0.5, 0.5, 0.8), TrFN(0.4, 0.5, 0.5, 0.6))

@@ -254,6 +254,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LinearProgram.build(c=[1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
 
+    def test_empty_objective_is_rejected(self):
+        with pytest.raises(ValidationError, match="^objective must be a non-empty vector$"):
+            LinearProgram.build(c=[])
+
+    def test_equality_rhs_length_mismatch_is_rejected(self):
+        with pytest.raises(ValidationError, match="^b_eq length must match a_eq row count$"):
+            LinearProgram.build(c=[1.0], a_eq=[[1.0]], b_eq=[1.0, 2.0])
+
+    def test_one_bound_pair_per_variable(self):
+        with pytest.raises(ValidationError, match="^expected 2 bound pairs, got 1$"):
+            LinearProgram.build(c=[1.0, 1.0], bounds=[(0.0, 1.0)])
+
     def test_non_finite_data_is_rejected(self):
         with pytest.raises(ValidationError):
             LinearProgram.build(c=[np.nan])

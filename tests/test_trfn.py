@@ -319,3 +319,7 @@ class TestRanking:
     def test_empty_input_is_rejected(self):
         with pytest.raises(ValidationError):
             rank(())
+
+    def test_entries_must_be_trapezoids(self):
+        with pytest.raises(ValidationError, match="^rank: value 1 is not a trapezoidal number$"):
+            rank([1, 2])
