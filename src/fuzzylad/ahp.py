@@ -49,9 +49,15 @@ class AhpProblem:
 class AhpResult:
     local_weights: tuple[UtilityVector, ...]
     global_weights: tuple[TrFN, ...]
-    magnitudes: tuple[float, ...]
     ranking: Ranking
-    per_criterion_objectives: tuple[float, ...]
+
+    @property
+    def magnitudes(self) -> tuple[float, ...]:
+        return self.ranking.magnitudes
+
+    @property
+    def per_criterion_objectives(self) -> tuple[float, ...]:
+        return tuple(vec.objective for vec in self.local_weights)
 
 
 def run_ahp(problem: AhpProblem) -> AhpResult:
@@ -65,14 +71,7 @@ def run_ahp(problem: AhpProblem) -> AhpResult:
     for k, y in enumerate(problem.matrices):
         local.append(located(f"criterion {k + 1}", derive_weights, y, problem.sigma))
     global_weights = combine_utilities(problem.criteria_weights, local)
-    ranking = rank(global_weights, problem.mag_weights)
-    return AhpResult(
-        tuple(local),
-        global_weights,
-        ranking.magnitudes,
-        ranking,
-        tuple(vec.objective for vec in local),
-    )
+    return AhpResult(tuple(local), global_weights, rank(global_weights, problem.mag_weights))
 
 
 def _normalize(parts: np.ndarray) -> tuple[TrFN, ...]:

@@ -23,7 +23,7 @@ import sys
 from typing import Sequence
 
 from .ahp import AhpProblem, amm_weights, deviation, gmm_weights, run_ahp
-from .errors import ParseError, SizeLimitError, ValidationError, located
+from .errors import ParseError, ValidationError, located
 from .files import KINDS, LoadedProblem, load_problem, parse_scalar, save_problem
 from .lad import Model, _validate_sigma, derive_utility
 from .relations import DEFAULT_CONSISTENCY_TOL, check_consistency, to_additive, to_multiplicative
@@ -112,7 +112,7 @@ def cmd_utility(args, problem: LoadedProblem, model: Model | None = None) -> _Ou
     if model is not Model.PSIGMA and args.sigma is not None:
         raise ValidationError(f"--sigma: model {model.value} takes no total-utility target")
     sigma = _require_sigma(args, problem) if model is Model.PSIGMA else None
-    result = derive_utility(problem.relation, model, sigma)
+    result = located(args.file, derive_utility, problem.relation, model, sigma)
     payload = {
         "model": result.model.value,
         "utilities": _rows(result.utilities),
@@ -131,7 +131,7 @@ def cmd_ahp(args, problem: LoadedProblem) -> _Output:
     sigma = _require_sigma(args, problem)
     mag_weights = _resolve_mag_weights(args, problem)
     hierarchy = AhpProblem(problem.criteria_weights, problem.matrices, sigma, mag_weights)
-    result = run_ahp(hierarchy)
+    result = located(args.file, run_ahp, hierarchy)
     payload = {
         "criteria_weights": list(hierarchy.criteria_weights),
         "local_weights": [_rows(vec.utilities) for vec in result.local_weights],
@@ -245,9 +245,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload, lines = args.func(args, problem)
         print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
         return 0
-    except SizeLimitError as exc:
-        print(f"invalid: {args.file}: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2

@@ -45,15 +45,21 @@ KINDS = ("additive", "multiplicative", "ahp")
 
 @dataclass(frozen=True)
 class LoadedProblem:
-    """A parsed problem file, with optional pieces left to the caller."""
+    """A parsed problem file; its ``kind`` and ``n`` are read from the relation or matrices."""
 
-    kind: str
-    n: int
     relation: TrFPR | TrMPR | None
     matrices: tuple[TrMPR, ...] | None
     criteria_weights: tuple[float, ...] | None
     sigma: TrFN | None
     mag_weights: MagWeights | None
+
+    @property
+    def kind(self) -> str:
+        return "ahp" if self.relation is None else self.relation.neutral.kind
+
+    @property
+    def n(self) -> int:
+        return (self.matrices[0] if self.relation is None else self.relation).n
 
 
 def parse_scalar(value, where: str) -> float:
@@ -179,8 +185,6 @@ def load_problem(path) -> LoadedProblem:
             "criteria_weights",
         )
     return LoadedProblem(
-        kind=kind,
-        n=n,
         relation=relation,
         matrices=matrices,
         criteria_weights=criteria_weights,

@@ -123,12 +123,18 @@ def aggregate_utilities(
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """The three terms of the aggregation sandwich and whether it held."""
+    """The three terms of the aggregation sandwich; ``holds`` tells whether it held."""
 
     z_star_agg: float
     z_agg_at_uc: float
     weighted_sum: float
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return (
+            self.z_star_agg <= self.z_agg_at_uc + BOUND_SLACK
+            and self.z_agg_at_uc <= self.weighted_sum + BOUND_SLACK
+        )
 
 
 def verify_bounds(relations: Sequence[TrFPR], weights: Sequence[float]) -> BoundsReport:
@@ -139,8 +145,4 @@ def verify_bounds(relations: Sequence[TrFPR], weights: Sequence[float]) -> Bound
     at_combined = aggregate_utilities(per_expert, weights, merged)
     z_star = derive_utility(merged, Model.P).objective
     weighted = sum(w * vec.objective for w, vec in zip(weights, per_expert))
-    holds = (
-        z_star <= at_combined.objective + BOUND_SLACK
-        and at_combined.objective <= weighted + BOUND_SLACK
-    )
-    return BoundsReport(z_star, at_combined.objective, weighted, holds)
+    return BoundsReport(z_star, at_combined.objective, weighted)

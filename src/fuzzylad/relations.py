@@ -327,10 +327,13 @@ def to_additive(y: TrMPR) -> TrFPR:
 class ConsistencyReport:
     """Result of a transitivity scan over all ordered index triples."""
 
-    consistent: bool
     max_violation: float
     worst_triple: tuple[int, int, int]
     tol: float
+
+    @property
+    def consistent(self) -> bool:
+        return self.max_violation <= self.tol
 
     def describe(self) -> str:
         verdict = "consistent" if self.consistent else "inconsistent"
@@ -358,7 +361,7 @@ def _scan_triples(relation, tol: float) -> ConsistencyReport:
     near = violation >= max_violation - band
     i, j, k = np.indices(violation.shape)
     worst = _first(near & (i != j) & (j != k) & (i != k)) or _first(near)
-    return ConsistencyReport(max_violation <= tol, max_violation, worst, tol)
+    return ConsistencyReport(max_violation, worst, tol)
 
 
 def check_consistency(

@@ -61,27 +61,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """An immutable LP in the form min c@x, a_ub@x <= b_ub, a_eq@x == b_eq."""
+    """An immutable LP in the form min c@x, a_ub@x <= b_ub, a_eq@x == b_eq; lists are
+    accepted, a block left ``None`` is empty and ``None`` bounds are ``(0, +inf)`` each."""
 
     c: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    bounds: tuple[tuple[float, float], ...]
+    a_ub: np.ndarray | None = None
+    b_ub: np.ndarray | None = None
+    a_eq: np.ndarray | None = None
+    b_eq: np.ndarray | None = None
+    bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         c = _readonly(self.c)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("objective must be a non-empty vector")
         n = c.size
+        a_ub, b_ub, a_eq, b_eq = (
+            () if block is None else block for block in (self.a_ub, self.b_ub, self.a_eq, self.b_eq)
+        )
         try:
-            a_ub = _readonly(np.asarray(self.a_ub, dtype=float).reshape(-1, n))
-            a_eq = _readonly(np.asarray(self.a_eq, dtype=float).reshape(-1, n))
+            a_ub = _readonly(np.asarray(a_ub, dtype=float).reshape(-1, n))
+            a_eq = _readonly(np.asarray(a_eq, dtype=float).reshape(-1, n))
         except ValueError as exc:
             raise ValidationError(f"constraint matrix width must match {n} variables") from exc
-        b_ub = _readonly(self.b_ub)
-        b_eq = _readonly(self.b_eq)
+        b_ub = _readonly(b_ub)
+        b_eq = _readonly(b_eq)
         if b_ub.ndim != 1 or b_ub.size != a_ub.shape[0]:
             raise ValidationError("b_ub length must match a_ub row count")
         if b_eq.ndim != 1 or b_eq.size != a_eq.shape[0]:
@@ -89,32 +93,16 @@ class LinearProgram:
         for block in (c, a_ub, b_ub, a_eq, b_eq):
             if block.size and not np.isfinite(block).all():
                 raise ValidationError("constraint data must be finite")
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        given = ((0.0, np.inf),) * n if self.bounds is None else self.bounds
+        bounds = tuple((float(lo), float(hi)) for lo, hi in given)
         if len(bounds) != n:
             raise ValidationError(f"expected {n} bound pairs, got {len(bounds)}")
         for j, (lo, hi) in enumerate(bounds):
             if not (lo <= hi and lo < np.inf and hi > -np.inf):
                 raise ValidationError(f"invalid bounds ({lo}, {hi}) for variable {j}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a_ub", a_ub)
-        object.__setattr__(self, "b_ub", b_ub)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-        object.__setattr__(self, "bounds", bounds)
-
-    @classmethod
-    def build(cls, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None) -> "LinearProgram":
-        """Convenience constructor: lists allowed, omitted blocks empty,
-        omitted bounds default to ``(0, +inf)`` for every variable."""
-        c = np.asarray(c, dtype=float)
-        n = c.size
-        if a_ub is None:
-            a_ub, b_ub = np.zeros((0, n)), np.zeros(0)
-        if a_eq is None:
-            a_eq, b_eq = np.zeros((0, n)), np.zeros(0)
-        if bounds is None:
-            bounds = tuple((0.0, np.inf) for _ in range(n))
-        return cls(c, a_ub, b_ub, a_eq, b_eq, tuple(bounds))
+        checked = dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def num_vars(self) -> int:

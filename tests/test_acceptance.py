@@ -440,16 +440,16 @@ def test_criterion_7_lp_solver_oracles():
             solved += 1
         assert solved >= 80
 
-        infeasible = LinearProgram.build(
+        infeasible = LinearProgram(
             c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0]
         )
         assert solve(infeasible).status is LpStatus.INFEASIBLE
-        unbounded = LinearProgram.build(
+        unbounded = LinearProgram(
             c=[-1.0, -1.0], a_ub=[[1.0, -1.0]], b_ub=[1.0]
         )
         assert solve(unbounded).status is LpStatus.UNBOUNDED
 
-        degenerate = LinearProgram.build(
+        degenerate = LinearProgram(
             c=[-0.75, 150.0, -0.02, 6.0],
             a_ub=[
                 [0.25, -60.0, -0.04, 9.0],

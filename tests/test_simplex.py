@@ -76,13 +76,13 @@ def random_boxed_lp(rng):
         a_eq = np.zeros((0, n))
         b_eq = np.zeros(0)
     bounds = tuple((float(l), float(h)) for l, h in zip(lo, hi))
-    return LinearProgram.build(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    return LinearProgram(c, a_ub, b_ub, a_eq, b_eq, bounds)
 
 
 class TestKnownOptima:
     def test_two_variable_textbook_instance(self):
         # max x + y s.t. x + 2y <= 4, 3x + y <= 6, x,y >= 0
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[-1.0, -1.0],
             a_ub=[[1.0, 2.0], [3.0, 1.0]],
             b_ub=[4.0, 6.0],
@@ -94,7 +94,7 @@ class TestKnownOptima:
 
     def test_equality_constrained_instance(self):
         # min x + 2y + 3z s.t. x + y + z = 1, y - z = 0, all >= 0
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0, 2.0, 3.0],
             a_eq=[[1.0, 1.0, 1.0], [0.0, 1.0, -1.0]],
             b_eq=[1.0, 0.0],
@@ -106,7 +106,7 @@ class TestKnownOptima:
 
     def test_free_variable_reaches_a_negative_optimum(self):
         # min x with x free, x >= -5 imposed through a row, not a bound.
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0],
             a_ub=[[-1.0]],
             b_ub=[5.0],
@@ -117,7 +117,7 @@ class TestKnownOptima:
         assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
 
     def test_upper_bounded_variable(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[-1.0, 0.0],
             a_ub=[[1.0, 1.0]],
             b_ub=[10.0],
@@ -128,7 +128,7 @@ class TestKnownOptima:
         assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_two_sided_bounds_off_origin(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0, 1.0],
             bounds=[(1.5, 4.0), (-2.0, -1.0)],
         )
@@ -139,7 +139,7 @@ class TestKnownOptima:
 
     def test_upper_bound_only_variable(self):
         # Variable may go arbitrarily negative; a row keeps it finite.
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0],
             a_ub=[[-1.0]],
             b_ub=[2.0],
@@ -152,7 +152,7 @@ class TestKnownOptima:
     def test_degenerate_cycling_instance_terminates(self):
         # Classic cycling example for the most-negative-cost rule; the
         # anti-cycling fallback must still reach the optimum -0.05.
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[-0.75, 150.0, -0.02, 6.0],
             a_ub=[
                 [0.25, -60.0, -0.04, 9.0],
@@ -166,7 +166,7 @@ class TestKnownOptima:
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
     def test_redundant_rows_are_harmless(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[-1.0, -2.0],
             a_ub=[[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
             b_ub=[1.0, 1.0, 2.0],
@@ -176,7 +176,7 @@ class TestKnownOptima:
         assert sol.objective_value == pytest.approx(-2.0, abs=1e-9)
 
     def test_duplicate_equality_rows_are_harmless(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0, 1.0],
             a_eq=[[1.0, 1.0], [1.0, 1.0]],
             b_eq=[1.0, 1.0],
@@ -186,7 +186,7 @@ class TestKnownOptima:
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
     def test_fixed_variable_via_equal_bounds(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0, -1.0],
             a_ub=[[0.0, 1.0]],
             b_ub=[2.0],
@@ -200,7 +200,7 @@ class TestKnownOptima:
 
 class TestClassification:
     def test_contradictory_rows_are_infeasible(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0],
             a_ub=[[1.0], [-1.0]],
             b_ub=[1.0, -2.0],
@@ -208,7 +208,7 @@ class TestClassification:
         assert solve(lp).status is LpStatus.INFEASIBLE
 
     def test_row_conflicting_with_bounds_is_infeasible(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0, 1.0],
             a_ub=[[1.0, 1.0]],
             b_ub=[-1.0],
@@ -216,7 +216,7 @@ class TestClassification:
         assert solve(lp).status is LpStatus.INFEASIBLE
 
     def test_empty_equality_system_conflict_is_infeasible(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0, 1.0],
             a_eq=[[1.0, 1.0], [1.0, 1.0]],
             b_eq=[1.0, 2.0],
@@ -224,14 +224,14 @@ class TestClassification:
         assert solve(lp).status is LpStatus.INFEASIBLE
 
     def test_free_descent_direction_is_unbounded(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[1.0],
             bounds=[(-np.inf, np.inf)],
         )
         assert solve(lp).status is LpStatus.UNBOUNDED
 
     def test_ray_in_a_cone_is_unbounded(self):
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[-1.0, -1.0],
             a_ub=[[1.0, -1.0]],
             b_ub=[1.0],
@@ -239,7 +239,7 @@ class TestClassification:
         assert solve(lp).status is LpStatus.UNBOUNDED
 
     def test_non_optimal_statuses_carry_no_point(self):
-        lp = LinearProgram.build(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+        lp = LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
         sol = solve(lp)
         assert sol.x is None
         assert sol.objective_value is None
@@ -248,43 +248,43 @@ class TestClassification:
 class TestValidation:
     def test_width_mismatch_is_rejected(self):
         with pytest.raises(ValidationError):
-            LinearProgram.build(c=[1.0, 2.0], a_ub=[[1.0, 2.0, 3.0]], b_ub=[1.0])
+            LinearProgram(c=[1.0, 2.0], a_ub=[[1.0, 2.0, 3.0]], b_ub=[1.0])
 
     def test_rhs_length_mismatch_is_rejected(self):
         with pytest.raises(ValidationError):
-            LinearProgram.build(c=[1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
+            LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
 
     def test_empty_objective_is_rejected(self):
         with pytest.raises(ValidationError, match="^objective must be a non-empty vector$"):
-            LinearProgram.build(c=[])
+            LinearProgram(c=[])
 
     def test_equality_rhs_length_mismatch_is_rejected(self):
         with pytest.raises(ValidationError, match="^b_eq length must match a_eq row count$"):
-            LinearProgram.build(c=[1.0], a_eq=[[1.0]], b_eq=[1.0, 2.0])
+            LinearProgram(c=[1.0], a_eq=[[1.0]], b_eq=[1.0, 2.0])
 
     def test_one_bound_pair_per_variable(self):
         with pytest.raises(ValidationError, match="^expected 2 bound pairs, got 1$"):
-            LinearProgram.build(c=[1.0, 1.0], bounds=[(0.0, 1.0)])
+            LinearProgram(c=[1.0, 1.0], bounds=[(0.0, 1.0)])
 
     def test_non_finite_data_is_rejected(self):
         with pytest.raises(ValidationError):
-            LinearProgram.build(c=[np.nan])
+            LinearProgram(c=[np.nan])
         with pytest.raises(ValidationError):
-            LinearProgram.build(c=[1.0], a_ub=[[np.inf]], b_ub=[1.0])
+            LinearProgram(c=[1.0], a_ub=[[np.inf]], b_ub=[1.0])
 
     def test_inverted_bounds_are_rejected(self):
         with pytest.raises(ValidationError):
-            LinearProgram.build(c=[1.0], bounds=[(2.0, 1.0)])
+            LinearProgram(c=[1.0], bounds=[(2.0, 1.0)])
 
     @pytest.mark.parametrize("bound", [(np.inf, np.inf), (-np.inf, -np.inf)])
     def test_infinite_bounds_pointing_the_wrong_way_are_rejected(self, bound):
         lo, hi = bound
         with pytest.raises(ValidationError, match=rf"^invalid bounds \({lo}, {hi}\) for variable 0$"):
-            LinearProgram.build(c=[1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=[bound])
+            LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=[bound])
 
     def test_iteration_budget_is_enforced(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-        lp = LinearProgram.build(
+        lp = LinearProgram(
             c=[-1.0, -1.0, -1.0],
             a_ub=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
             b_ub=[1.0, 1.0, 1.0],
@@ -329,7 +329,7 @@ class TestOracleAgreement:
             hi = lo + rng.uniform(0.5, 2.0, size=n)
             e = np.zeros(n)
             e[0] = 1.0
-            lp = LinearProgram.build(
+            lp = LinearProgram(
                 c=rng.normal(size=n),
                 a_ub=[e],
                 b_ub=[lo[0] - 1.0],

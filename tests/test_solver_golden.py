@@ -44,7 +44,7 @@ BOXED_SEEDS = (3, 11, 17, 29, 41, 53)
 BLAND_LAD = ((3, Model.P0, False), (3, Model.PSIGMA, True), (4, Model.PUNIT, False),
              (4, Model.P, True), (5, Model.P, False))
 # Small programs for the solver paths the LAD and box-bounded programs never
-# reach: name, then the keyword arguments of ``LinearProgram.build`` and the
+# reach: name, then the keyword arguments of ``LinearProgram`` and the
 # solver constants patched for the run.
 SMALL_PROGRAMS = (
     ("cycling instance, Bland's rule", dict(
@@ -122,7 +122,7 @@ def golden_programs() -> list[tuple[str, partial, dict]]:
         programs.append((f"{lad_name(n, model, lattice)} bland_after=0", make,
                          {"BLAND_AFTER": 0}))
     for name, blocks, options in SMALL_PROGRAMS:
-        programs.append((name, partial(LinearProgram.build, **blocks), options))
+        programs.append((name, partial(LinearProgram, **blocks), options))
     return programs
 
 
