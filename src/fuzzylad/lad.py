@@ -36,6 +36,8 @@ from .relations import (
     TrFPR,
     TrMPR,
     _distance,
+    _Relation,
+    _require_kind,
     check_consistency,
     to_additive,
 )
@@ -121,8 +123,9 @@ class UtilityVector:
         return len(self.utilities)
 
 
-def _additive(x: TrFPR | TrMPR) -> TrFPR:
-    """``x`` itself, or the additive image of a multiplicative relation."""
+def _additive(x: TrFPR | TrMPR, where: str) -> TrFPR:
+    """``x``, or a multiplicative relation's additive image; a refusal names ``where``."""
+    _require_kind(x, _Relation, where)
     return to_additive(x) if isinstance(x, TrMPR) else x
 
 
@@ -133,7 +136,7 @@ def evaluate_objective(x: TrFPR | TrMPR, utilities: Sequence[TrFN]) -> float:
     cell (diagonal included) it compares ``x_ij + t0`` against
     ``u_i + (u_j negated)`` in normalized L1 distance and sums up.
     """
-    x = _additive(x)
+    x = _additive(x, "evaluate_objective")
     utilities = _trfns(utilities)
     if len(utilities) != x.n:
         raise ValidationError(f"expected {x.n} utilities, got {len(utilities)}")
@@ -167,7 +170,7 @@ def build_lp(x: TrFPR | TrMPR, model: Model, sigma: TrFN | None = None) -> Linea
     """
     if model is Model.QSIGMA:
         raise ValidationError("model qsigma labels results; derive with model psigma")
-    x = _additive(x)
+    x = _additive(x, "build_lp")
     if x.n > MAX_LP_ALTERNATIVES:
         raise SizeLimitError(
             f"the deviation LP takes at most {MAX_LP_ALTERNATIVES} alternatives, got {x.n}"
@@ -249,7 +252,7 @@ def derive_utility(
     returning silently wrong numbers.
     """
     label = Model.QSIGMA if model is Model.PSIGMA and isinstance(x, TrMPR) else model
-    x = _additive(x)
+    x = _additive(x, "derive_utility")
     lp = build_lp(x, model, sigma)
     solution = located(f"n = {x.n}, model {model.value}", solve, lp)
     if solution.status is not LpStatus.OPTIMAL:
@@ -302,6 +305,7 @@ def fast_path_consistent(
     0-based.  Raises NotConsistentError when the relation fails its own
     kind's transitivity scan at ``tol``.
     """
+    _require_kind(x, _Relation, "fast_path_consistent")
     if not 0 <= k < x.n:
         raise ValidationError(f"column index {k} outside 0..{x.n - 1}")
     report = check_consistency(x, tol)
@@ -309,7 +313,7 @@ def fast_path_consistent(
         raise NotConsistentError(
             f"fast path needs a consistent relation; {report.describe()}"
         )
-    x = _additive(x)
+    x = _additive(x, "fast_path_consistent")
 
     utilities = tuple(TrFN(*row) for row in _snap(x.array[:, k]).tolist())
     objective = evaluate_objective(x, utilities)

@@ -141,6 +141,7 @@ class NeutralElement:
 class _Relation:
     """Array storage and the one validation routine of both kinds of relation."""
 
+    _kind_phrase = "a preference"
     array: np.ndarray
     neutral: NeutralElement
 
@@ -344,7 +345,8 @@ class ConsistencyReport:
         )
 
 
-def _scan_triples(relation, tol: float) -> ConsistencyReport:
+def _scan_triples(relation, tol: float, where: str) -> ConsistencyReport:
+    _require_kind(relation, _Relation, where)
     if not 0.0 <= tol < math.inf:
         raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
     # violation[i, j, k] compares x_ij (.) t0 with x_ik (.) x_kj, (.) the relation's own.
@@ -368,12 +370,12 @@ def check_consistency(
     x: TrFPR | TrMPR, tol: float = DEFAULT_CONSISTENCY_TOL
 ) -> ConsistencyReport:
     """Scan all triples for ``x_ij + t0 = x_ik + x_kj``, or ``y_ij * s0 = y_ik * y_kj``."""
-    return _scan_triples(x, tol)
+    return _scan_triples(x, tol, "check_consistency")
 
 
 def check_consistency_mult(y: TrMPR, tol: float = DEFAULT_CONSISTENCY_TOL) -> ConsistencyReport:
     """``check_consistency`` under its ratio-scale name."""
-    return _scan_triples(y, tol)
+    return _scan_triples(y, tol, "check_consistency_mult")
 
 
 def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
@@ -385,7 +387,7 @@ def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
     otherwise no relation with that diagonal exists, and every produced
     component must land in ``[0, 1]``.
     """
-    if neutral.scale is not None:
+    if not isinstance(neutral, NeutralElement) or neutral.scale is not None:
         raise ValidationError("from_utilities needs an additive neutral element")
     utilities = _trfns(utilities)
     if not utilities:

@@ -25,10 +25,12 @@ from fuzzylad import (
     check_consistency,
     check_consistency_mult,
     derive_utility,
+    deviation,
     derive_utility_mult,
     derive_weights,
     evaluate_objective,
     fast_path_consistent,
+    from_utilities,
     gmm_weights,
     load_problem,
     to_additive,
@@ -154,3 +156,36 @@ CASES = {
 @pytest.mark.parametrize("function, kind", list(CASES), ids=[f"{f}-{k}" for f, k in CASES])
 def test_each_kind_takes_its_own_path(function, kind):
     CASES[function, kind](relation(kind))
+
+
+# A door that takes a relation, called on something else, and the function
+# its refusal names: the one that checks, which for derive_weights and
+# deviation is the function they delegate to.
+NOT_A_RELATION = {
+    "derive_utility": (lambda: derive_utility("x"), "derive_utility", "str"),
+    "derive_weights": (lambda: derive_weights("x", SIGMA), "derive_utility", "str"),
+    "build_lp": (lambda: build_lp("x", Model.P), "build_lp", "str"),
+    "evaluate_objective": (
+        lambda: evaluate_objective([[1]], UTILITIES), "evaluate_objective", "list"
+    ),
+    "deviation": (lambda: deviation("x", UTILITIES), "evaluate_objective", "str"),
+    "fast_path_consistent": (lambda: fast_path_consistent("x"), "fast_path_consistent", "str"),
+    "check_consistency": (lambda: check_consistency([[1]]), "check_consistency", "list"),
+    "check_consistency_mult": (
+        lambda: check_consistency_mult(None), "check_consistency_mult", "NoneType"
+    ),
+}
+
+
+@pytest.mark.parametrize("door", list(NOT_A_RELATION))
+def test_each_door_refuses_what_is_not_a_relation(door):
+    call, checker, got = NOT_A_RELATION[door]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == f"{checker}: expected a preference relation, got {got}"
+
+
+def test_from_utilities_refuses_what_is_not_a_neutral_element():
+    with pytest.raises(ValidationError) as info:
+        from_utilities(UTILITIES, None)
+    assert str(info.value) == "from_utilities needs an additive neutral element"
