@@ -1,5 +1,7 @@
 """Criteria-weighted ranking pipeline and the two mean-based baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,12 @@ class TestPipeline:
 
     def test_ranking_label(self, result):
         assert result.ranking.label() == "A1 > A2 > A4 > A3"
+
+    def test_magnitudes_and_objectives_are_read_from_the_ranking_and_local_weights(self, result):
+        names = [f.name for f in dataclasses.fields(result)]
+        assert names == ["local_weights", "global_weights", "ranking"]
+        assert result.magnitudes == result.ranking.magnitudes
+        assert result.per_criterion_objectives == tuple(v.objective for v in result.local_weights)
 
     def test_global_weights_are_the_weighted_sum_of_locals(self, result, portfolio):
         omegas = portfolio["criteria_weights"]

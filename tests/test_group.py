@@ -1,5 +1,7 @@
 """Convex aggregation of expert relations, utilities, and the bound chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,15 @@ class TestBoundChain:
             assert report.holds
             assert report.z_star_agg <= report.z_agg_at_uc + 1e-7
             assert report.z_agg_at_uc <= report.weighted_sum + 1e-7
+
+    def test_the_verdict_is_read_from_the_three_terms(self, base_relation):
+        report = verify_bounds((base_relation, base_relation), GroupWeights((0.5, 0.5)))
+        names = [f.name for f in dataclasses.fields(report)]
+        assert names == ["z_star_agg", "z_agg_at_uc", "weighted_sum"]
+        assert report.holds
+        assert not dataclasses.replace(report, weighted_sum=report.z_agg_at_uc - 1e-6).holds
+        assert not dataclasses.replace(report, z_star_agg=report.z_agg_at_uc + 1e-6).holds
+        assert dataclasses.replace(report, weighted_sum=report.z_agg_at_uc - 1e-8).holds
 
     def test_consistent_group_reaches_zero_everywhere(self):
         rng = np.random.default_rng(54)

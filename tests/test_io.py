@@ -1,5 +1,6 @@
 """Problem-file parsing, serialization, and error reporting."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -123,6 +124,17 @@ class TestLoadProblem:
         assert problem.matrices[0].entry(0, 1).components == pytest.approx(
             (1 / 3, 0.5, 0.5, 1.0), rel=1e-15
         )
+
+    def test_kind_and_size_are_read_from_the_relation_or_the_matrices(self):
+        names = [f.name for f in dataclasses.fields(LoadedProblem)]
+        assert names == ["relation", "matrices", "criteria_weights", "sigma", "mag_weights"]
+        problem = load_problem(PROBLEMS / "example-additive.json")
+        x = rand_trfpr(np.random.default_rng(5), 5)
+        swapped = dataclasses.replace(problem, relation=to_multiplicative(x, 9))
+        assert (swapped.kind, swapped.n) == ("multiplicative", 5)
+        hierarchy = load_problem(PROBLEMS / "portfolio.json")
+        assert (hierarchy.kind, hierarchy.n) == ("ahp", 4)
+        assert dataclasses.replace(hierarchy, matrices=(swapped.relation,)).n == 5
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

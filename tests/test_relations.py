@@ -342,6 +342,13 @@ class TestConsistency:
         assert check_consistency(base_relation, tol=0.2).consistent
         assert not check_consistency(base_relation, tol=0.05).consistent
 
+    def test_the_verdict_is_read_from_the_violation_and_the_tolerance(self, base_relation):
+        report = check_consistency(base_relation)
+        names = [f.name for f in dataclasses.fields(report)]
+        assert names == ["max_violation", "worst_triple", "tol"]
+        assert dataclasses.replace(report, tol=0.2).consistent
+        assert not dataclasses.replace(report, tol=0.2, max_violation=0.3).consistent
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
     def test_tolerance_must_be_finite_and_non_negative(self, base_relation, ratio_relation, tol):
         with pytest.raises(ValidationError, match="finite and non-negative"):

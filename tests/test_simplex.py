@@ -238,6 +238,16 @@ class TestClassification:
         )
         assert solve(lp).status is LpStatus.UNBOUNDED
 
+    def test_omitted_blocks_are_empty_and_omitted_bounds_non_negative(self):
+        lp = LinearProgram(c=[1.0])
+        assert lp.a_ub.shape == (0, 1) and lp.b_ub.shape == (0,)
+        assert lp.a_eq.shape == (0, 1) and lp.b_eq.shape == (0,)
+        assert lp.bounds == ((0.0, np.inf),)
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == 0.0 and sol.x.tolist() == [0.0]
+        assert not hasattr(LinearProgram, "build")
+
     def test_non_optimal_statuses_carry_no_point(self):
         lp = LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
         sol = solve(lp)
