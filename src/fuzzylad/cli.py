@@ -155,8 +155,9 @@ def cmd_ahp(args, problem: LoadedProblem) -> _Output:
         payload["comparison"] = []
         for k, (y, lad) in enumerate(zip(hierarchy.matrices, result.local_weights)):
             block = {"lad": {"weights": _rows(lad.utilities), "deviation": lad.objective}}
+            x = to_additive(y)
             for method, weights in (("amm", amm_weights(y)), ("gmm", gmm_weights(y))):
-                block[method] = {"weights": _rows(weights), "deviation": deviation(y, weights)}
+                block[method] = {"weights": _rows(weights), "deviation": deviation(x, weights)}
             payload["comparison"].append(block)
             lines.append(f"comparison (criterion {k + 1}):")
             for method, entry in block.items():

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_consistent_trfpr
-from fuzzylad import MAX_LP_ALTERNATIVES, MAX_SIGMA, load_problem, save_problem
+from fuzzylad import (
+    MAX_LP_ALTERNATIVES, MAX_SIGMA, load_problem, save_problem, simplex, to_additive,
+)
 from fuzzylad.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -328,6 +330,19 @@ class TestAhp:
             assert block["lad"]["deviation"] <= block["amm"]["deviation"] + 1e-9
             assert block["lad"]["deviation"] <= block["gmm"]["deviation"] + 1e-9
 
+    def test_compare_converts_each_criterion_once(self, capsys, monkeypatch):
+        # Once to solve and once for both baselines, per criterion.
+        converted = []
+
+        def counting(y):
+            converted.append(y)
+            return to_additive(y)
+
+        monkeypatch.setattr("fuzzylad.lad.to_additive", counting)
+        monkeypatch.setattr("fuzzylad.cli.to_additive", counting)
+        assert run_cli(capsys, "ahp", PORTFOLIO, "--compare")[0] == 0
+        assert len(converted) == 6
+
     def test_flat_file_is_rejected(self, capsys):
         code, _, err = run_cli(capsys, "ahp", ADDITIVE)
         assert code == 2
@@ -484,6 +499,23 @@ class TestExitCodes:
         )
         # Commands that solve no LP still take the file.
         assert run_cli(capsys, "consistency", str(path))[0] == 0
+
+    @pytest.mark.parametrize(
+        "command, path, where",
+        [("utility", ADDITIVE, "n = 3, model punit"),
+         ("ahp", PORTFOLIO, "criterion 1: n = 4, model psigma")],
+        ids=["utility", "ahp"],
+    )
+    def test_pivot_budget_error_exits_1_naming_the_file(
+        self, capsys, monkeypatch, command, path, where
+    ):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 5)
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {path}: {where}: simplex pivot budget exhausted after 5 pivots in this phase\n"
+        )
 
     def test_non_finite_sigma_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "weights", ADDITIVE, "--sigma", "0.8,0.9,1.1,inf")
