@@ -21,7 +21,7 @@ import numpy as np
 from .errors import located
 from .group import _check_group, combine_utilities
 from .lad import UtilityVector, _validate_sigma, derive_weights, evaluate_objective
-from .relations import TrMPR, _require_kind
+from .relations import TrFPR, TrMPR, _require_kind
 from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, rank
 
 __all__ = ["AhpProblem", "AhpResult", "run_ahp", "amm_weights", "gmm_weights", "deviation"]
@@ -97,8 +97,8 @@ def gmm_weights(y: TrMPR) -> tuple[TrFN, ...]:
     return _normalize(np.array([[p ** (1.0 / y.n) for p in row] for row in products]))
 
 
-def deviation(y: TrMPR, weights: tuple[TrFN, ...]) -> float:
-    """Score a weight vector on the LAD objective of ``y``'s additive image.
+def deviation(y: TrMPR | TrFPR, weights: tuple[TrFN, ...]) -> float:
+    """Score a weight vector on the LAD objective of ``y``'s additive image, or of ``y`` itself.
 
     Lower is better; the LAD weights minimize exactly this quantity, so it
     serves as the common yardstick for comparing weighting methods.

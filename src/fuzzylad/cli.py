@@ -4,8 +4,9 @@ Subcommands: ``validate``, ``consistency``, ``utility``, ``weights``,
 ``ahp``, ``convert``.  Every command reads one JSON problem file, never
 mutates it (``convert`` writes to ``--out``), and is deterministic: the
 same file and flags produce byte-identical output.  Each takes only the
-options it reads, and ``main`` loads the file and checks its kind for it;
-a refusal of the file's content names the file.
+options it reads, and ``main`` loads the file and checks its kind for it.
+``errors.located`` names the file in a refusal of its content, in the LP
+size-limit refusal and in a solver's pivot-budget error.
 
 Each command builds one result: a payload, and text lines formatted from
 the payload's own values.  ``main`` prints it once, as JSON under
