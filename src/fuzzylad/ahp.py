@@ -98,7 +98,7 @@ def gmm_weights(y: TrMPR) -> tuple[TrFN, ...]:
 
 
 def deviation(y: TrMPR | TrFPR, weights: tuple[TrFN, ...]) -> float:
-    """Score a weight vector on the LAD objective of ``y``'s additive image, or of ``y`` itself.
+    """Score a weight vector on the LAD objective of ``y``'s additive image.
 
     Lower is better; the LAD weights minimize exactly this quantity, so it
     serves as the common yardstick for comparing weighting methods.

@@ -123,7 +123,7 @@ def aggregate_utilities(
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """The three terms of the aggregation sandwich; ``holds`` tells whether it held."""
+    """The three terms of the aggregation sandwich and whether it held."""
 
     z_star_agg: float
     z_agg_at_uc: float
