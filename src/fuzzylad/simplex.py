@@ -20,10 +20,11 @@ The ratio test looks only at rows with a positive pivot-column entry, and a
 pivot updates only the columns its row touches (see ``_pivot``).
 
 Five module constants bound the solver, and ``solve`` takes no options.
-``FEAS_TOL`` is the phase-1 residual that still counts as feasible; ten
-times it, scaled by the right-hand side, is the constraint violation the
-answer may show.  ``PIVOT_TOL`` is the smallest accepted pivot element and
-``COST_TOL`` the reduced cost a column must fall below to enter.
+``FEAS_TOL`` is read against one scale per program, ``max(1, largest |b|)``
+over its right-hand sides as given: times the scale, it is the phase-1
+residual that still counts as feasible, and ten times that the constraint
+violation the answer may show.  ``PIVOT_TOL`` is the smallest accepted pivot
+element and ``COST_TOL`` the reduced cost a column must fall below to enter.
 ``MAX_PIVOTS`` caps the pivots of both phases together; past it the solver
 raises IterationLimitError rather than return a bad answer.  ``BLAND_AFTER``
 is the number of non-improving pivots in a row before Bland's rule takes over.
@@ -188,7 +189,7 @@ def _iterate(T, basis, iters_left):
                     bland = True
 
 
-def _check_feasible(lp: LinearProgram, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+def _check_feasible(lp: LinearProgram, x, lo, hi, scale: float) -> None:
     worst = 0.0
     if lp.a_eq.shape[0]:
         worst = max(worst, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
@@ -199,11 +200,7 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray, lo: np.ndarray, hi: np.nda
         float(np.max(np.where(np.isfinite(lo), lo - x, 0.0))),
         float(np.max(np.where(np.isfinite(hi), x - hi, 0.0))),
     )
-    scale = 1.0 + max(
-        float(np.max(np.abs(lp.b_ub))) if lp.b_ub.size else 0.0,
-        float(np.max(np.abs(lp.b_eq))) if lp.b_eq.size else 0.0,
-    )
-    if worst > FEAS_TOL * scale * 10.0:
+    if worst > 10.0 * FEAS_TOL * scale:
         raise ArithmeticError(
             f"simplex returned a point violating constraints by {worst:.3g}"
         )
@@ -234,6 +231,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     # stands for sign[k] * (x[var[k]] - base[var[k]]), and a free variable
     # becomes the difference of two columns.
     n_orig = lp.num_vars
+    scale = float(np.abs(np.concatenate([lp.b_ub, lp.b_eq])).max(initial=1.0))
     lo, hi = np.array(lp.bounds).reshape(n_orig, 2).T
     free = np.isneginf(lo) & np.isposinf(hi)
     flipped = np.isneginf(lo) & ~free
@@ -287,7 +285,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         status, total_pivots = _iterate(T, basis, MAX_PIVOTS)
         if status != "optimal":
             raise ArithmeticError("phase 1 objective is bounded below; solver defect")
-        if -T[-1, -1] > FEAS_TOL:
+        if -T[-1, -1] > FEAS_TOL * scale:
             return LpSolution(LpStatus.INFEASIBLE, None, None, total_pivots)
         # Remove leftover artificials: pivot them onto a real column when
         # possible, otherwise the row is redundant and gets dropped.
@@ -325,5 +323,5 @@ def solve(lp: LinearProgram) -> LpSolution:
     # Only a free variable gets two terms, on a zero base, so the order of
     # the additions cannot change a bit of the result.
     np.add.at(x, var, sign * x_std[:n_std])
-    _check_feasible(lp, x, lo, hi)
+    _check_feasible(lp, x, lo, hi, scale)
     return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), total_pivots)

@@ -524,11 +524,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, path, sigma",
-        [("ahp", PORTFOLIO, "8e6,9e6,1.1e7,1.2e7"), ("weights", RATIO, "8e8,9e8,1.1e9,1.2e9")],
+        [("ahp", PORTFOLIO, "8e300,9e300,1.1e301,1.2e301"),
+         ("weights", RATIO, "8e302,9e302,1.1e303,1.2e303")],
         ids=["ahp", "weights"],
     )
     def test_sigma_above_the_limit_exits_2_naming_the_flag(self, capsys, command, path, sigma):
-        # The solver's absolute tolerances read targets this large as infeasible.
+        # Targets this large can overflow the LP's sums.
         code, out, err = run_cli(capsys, command, path, "--sigma", sigma)
         assert (code, out) == (2, "")
         assert err.startswith(f"invalid: --sigma: the total-utility target is at most {MAX_SIGMA:g}, ")

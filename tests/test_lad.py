@@ -1,5 +1,6 @@
 """Deviation objective, LP assembly, and utility derivation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,19 @@ PAPER_UTILITIES = (
 )
 
 SIGMA_AT_THE_LIMIT = TrFN(*(MAX_SIGMA * r for r in (0.8 / 1.2, 0.9 / 1.2, 1.1 / 1.2, 1.0)))
+
+# Psigma targets far above 1, on seeded relations and their ratio images:
+# the solver reads its feasibility checks against the program's scale.
+LARGE_TARGET_CASES = [
+    (d, n, ratio)
+    for d in (1e5, 1e8, 1e12)
+    for n in (3, 5, 7, 11, 15)
+    if n < 15 or d == 1e8
+    for ratio in (False, True)
+]
+LARGE_TARGET_IDS = [
+    f"d{d:.0e}-n{n}-{'ratio' if r else 'additive'}" for d, n, r in LARGE_TARGET_CASES
+]
 
 
 def feasible_point(x, sigma):
@@ -394,7 +408,8 @@ class TestRatioScalePaths:
             derive_weights(ratio_relation, TrFN(0.0, 0.9, 1.1, 1.2))
 
     def test_weight_target_above_the_limit_is_refused(self, ratio_relation):
-        with pytest.raises(ValidationError, match=f"target is at most {MAX_SIGMA:g}, got"):
+        limit = re.escape(f"{MAX_SIGMA:g}")
+        with pytest.raises(ValidationError, match=f"target is at most {limit}, got"):
             derive_weights(ratio_relation, TrFN(0.8, 0.9, 1.1, MAX_SIGMA * 1.001))
 
     def test_target_at_the_limit_solves_the_largest_relation(self):
@@ -404,6 +419,22 @@ class TestRatioScalePaths:
         for comp in range(4):
             total = sum(u.components[comp] for u in result.utilities)
             assert total == pytest.approx(sigma.components[comp], rel=1e-9)
+
+    @pytest.mark.parametrize("d, n, ratio", LARGE_TARGET_CASES, ids=LARGE_TARGET_IDS)
+    def test_large_targets_solve_and_match_highs(self, d, n, ratio):
+        pytest.importorskip("scipy.optimize")
+        from test_lp_oracle import highs_optimum, lad_lp
+
+        x = rand_trfpr(np.random.default_rng(9000 + n), n)
+        relation = to_multiplicative(x, 9) if ratio else x
+        sigma = TrFN(*(d * r for r in (2 / 3, 3 / 4, 11 / 12, 1.0)))
+        result = derive_utility(relation, Model.PSIGMA, sigma)
+        for comp in range(4):
+            total = sum(u.components[comp] for u in result.utilities)
+            assert total == pytest.approx(sigma.components[comp], rel=1e-9)
+        additive = to_additive(relation) if ratio else x
+        optimum = highs_optimum(lad_lp(additive, Model.PSIGMA, sigma, halved=False))
+        assert abs(result.objective - optimum) <= 1e-9 * (1.0 + abs(optimum))
 
 
 class TestFastPath:
