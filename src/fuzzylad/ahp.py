@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import located
+from .errors import ValidationError, located
 from .group import _check_group, combine_utilities
 from .lad import UtilityVector, _validate_sigma, derive_weights, evaluate_objective
 from .relations import TrFPR, TrMPR, _require_kind
@@ -43,6 +43,10 @@ class AhpProblem:
         object.__setattr__(self, "criteria_weights", weights)
         object.__setattr__(self, "matrices", matrices)
         _validate_sigma(self.sigma)
+        if not isinstance(self.mag_weights, MagWeights):
+            raise ValidationError(
+                f"magnitude weights must be MagWeights, got {type(self.mag_weights).__name__}"
+            )
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .relations import (
     to_additive,
 )
 from .simplex import LinearProgram, LpStatus, solve
-from .trfn import TrFN, _trfns, add, crisp
+from .trfn import TrFN, _real, _trfns, add, crisp
 
 __all__ = [
     "Model",
@@ -88,6 +88,11 @@ class Model(str, Enum):
         return (-np.inf if self is Model.P0 else 0.0), (1.0 if self is Model.PUNIT else np.inf)
 
 
+def _require_model(model, where: str) -> None:
+    if not isinstance(model, Model):
+        raise ValidationError(f"{where}: expected a Model, got {type(model).__name__}")
+
+
 @dataclass(frozen=True)
 class UtilityVector:
     """Per-alternative fuzzy utilities plus the deviation they achieve."""
@@ -100,8 +105,10 @@ class UtilityVector:
         object.__setattr__(self, "utilities", _trfns(self.utilities))
         if not self.utilities:
             raise ValidationError("a utility vector needs at least one entry")
+        object.__setattr__(self, "objective", _real(self.objective, "objective"))
         if self.objective < 0.0:
             raise ValidationError(f"objective must be non-negative, got {self.objective}")
+        _require_model(self.model, "UtilityVector")
         lower_a, upper_d = self.model.bounds
         for k, u in enumerate(self.utilities):
             if u.a < lower_a:
@@ -165,6 +172,7 @@ def build_lp(x: TrFPR | TrMPR, model: Model, sigma: TrFN | None = None) -> Linea
     implied (for example non-negativity of the b component under model P)
     is left to the ordering chain.
     """
+    _require_model(model, "build_lp")
     if model is Model.QSIGMA:
         raise ValidationError("model qsigma labels results; derive with model psigma")
     x = _additive(x, "build_lp")

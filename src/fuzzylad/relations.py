@@ -108,6 +108,10 @@ class NeutralElement:
     scale: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.value, TrFN):
+            raise ValidationError(
+                f"neutral element must be a trapezoidal number, got {type(self.value).__name__}"
+            )
         if self.scale is not None:
             _check_scale(self.scale)
         t, rule = self.value, self._relation
@@ -174,7 +178,7 @@ class _Relation:
         return cls._of(full, neutral)
 
     def _store(self, array: np.ndarray, neutral: NeutralElement) -> None:
-        if neutral._relation is not type(self):
+        if not isinstance(neutral, NeutralElement) or neutral._relation is not type(self):
             phrase = self._kind_phrase
             raise ValidationError(f"{phrase} relation needs {phrase} neutral element")
         array.flags.writeable = False

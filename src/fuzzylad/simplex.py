@@ -54,8 +54,11 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _readonly(a, name: str) -> np.ndarray:
+    try:
+        a = np.array(a, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be an array of real numbers") from exc
     a.setflags(write=False)
     return a
 
@@ -73,20 +76,20 @@ class LinearProgram:
     bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        c = _readonly(self.c)
+        c = _readonly(self.c, "c")
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("objective must be a non-empty vector")
         n = c.size
+        blocks = (self.a_ub, self.b_ub, self.a_eq, self.b_eq)
         a_ub, b_ub, a_eq, b_eq = (
-            () if block is None else block for block in (self.a_ub, self.b_ub, self.a_eq, self.b_eq)
+            _readonly(() if block is None else block, name)
+            for name, block in zip(("a_ub", "b_ub", "a_eq", "b_eq"), blocks)
         )
         try:
-            a_ub = _readonly(np.asarray(a_ub, dtype=float).reshape(-1, n))
-            a_eq = _readonly(np.asarray(a_eq, dtype=float).reshape(-1, n))
+            a_ub = a_ub.reshape(-1, n)
+            a_eq = a_eq.reshape(-1, n)
         except ValueError as exc:
             raise ValidationError(f"constraint matrix width must match {n} variables") from exc
-        b_ub = _readonly(b_ub)
-        b_eq = _readonly(b_eq)
         if b_ub.ndim != 1 or b_ub.size != a_ub.shape[0]:
             raise ValidationError("b_ub length must match a_ub row count")
         if b_eq.ndim != 1 or b_eq.size != a_eq.shape[0]:
@@ -95,7 +98,10 @@ class LinearProgram:
             if block.size and not np.isfinite(block).all():
                 raise ValidationError("constraint data must be finite")
         given = ((0.0, np.inf),) * n if self.bounds is None else self.bounds
-        bounds = tuple((float(lo), float(hi)) for lo, hi in given)
+        try:
+            bounds = tuple((float(lo), float(hi)) for lo, hi in given)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError("bounds must be (lower, upper) pairs of real numbers") from exc
         if len(bounds) != n:
             raise ValidationError(f"expected {n} bound pairs, got {len(bounds)}")
         for j, (lo, hi) in enumerate(bounds):
@@ -119,7 +125,7 @@ class LpSolution:
 
     def __post_init__(self) -> None:
         if self.x is not None:
-            object.__setattr__(self, "x", _readonly(self.x))
+            object.__setattr__(self, "x", _readonly(self.x, "x"))
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:

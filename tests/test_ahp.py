@@ -98,6 +98,17 @@ class TestProblemValidation:
                 sigma=portfolio["sigma"],
             )
 
+    def test_magnitude_weights_must_be_mag_weights(self, portfolio):
+        with pytest.raises(
+            ValidationError, match="^magnitude weights must be MagWeights, got str$"
+        ):
+            AhpProblem(
+                criteria_weights=portfolio["criteria_weights"],
+                matrices=portfolio["matrices"],
+                sigma=portfolio["sigma"],
+                mag_weights="x",
+            )
+
     def test_total_target_is_validated(self, portfolio):
         with pytest.raises(ValidationError):
             AhpProblem(

@@ -477,6 +477,22 @@ class TestExitCodes:
             "got (4.0, 3.0, 2.0, 5.0)\n"
         )
 
+    @pytest.mark.parametrize(
+        "source, field, value, shown",
+        [(ADDITIVE, "n", 3.0, "3.0"), (ADDITIVE, "n", True, "True"), (RATIO, "scale", 9.5, "9.5")],
+        ids=["n-float", "n-bool", "scale-float"],
+    )
+    def test_non_integer_count_exits_1_naming_the_field(
+        self, capsys, tmp_path, source, field, value, shown
+    ):
+        doc = json.loads(Path(source).read_text())
+        doc[field] = value
+        path = tmp_path / "non-integer.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {field}: expected an integer, got {shown}\n"
+
     def test_overflowing_power_exits_1_with_its_location(self, capsys, tmp_path):
         doc = json.loads(Path(PORTFOLIO).read_text())
         doc["criteria_weights"][0] = "9^1000"

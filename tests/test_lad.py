@@ -181,6 +181,14 @@ class TestBuildLp:
             assert all(row[h] == 1.0 for h in hot)
             assert np.count_nonzero(row) == 3
 
+    def test_model_must_be_a_model(self, base_relation):
+        with pytest.raises(ValidationError, match="^build_lp: expected a Model, got str$"):
+            build_lp(base_relation, "punit")
+
+    def test_derive_utility_refuses_a_model_name_through_build_lp(self, base_relation):
+        with pytest.raises(ValidationError, match="^build_lp: expected a Model, got str$"):
+            derive_utility(base_relation, "punit")
+
     def test_target_required_and_rejected_appropriately(self, base_relation, sigma_unit):
         with pytest.raises(ValidationError):
             build_lp(base_relation, Model.PSIGMA)
@@ -501,6 +509,18 @@ class TestUtilityVectorInvariants:
     def test_free_model_allows_negative_support(self):
         u = UtilityVector((TrFN(-0.5, 0.2, 0.3, 0.4),), 0.0, Model.P0)
         assert u.utilities[0].a == -0.5
+
+    def test_nan_objective_is_rejected(self):
+        with pytest.raises(ValidationError, match="^objective=nan is not finite$"):
+            UtilityVector((TrFN(0.1, 0.2, 0.3, 0.4),), float("nan"), Model.P)
+
+    def test_objective_must_be_a_number(self):
+        with pytest.raises(ValidationError, match="^objective='x' is not a real number$"):
+            UtilityVector((TrFN(0.1, 0.2, 0.3, 0.4),), "x", Model.P)
+
+    def test_model_must_be_a_model(self):
+        with pytest.raises(ValidationError, match="^UtilityVector: expected a Model, got str$"):
+            UtilityVector((TrFN(0.1, 0.2, 0.3, 0.4),), 0.0, "p")
 
 
 @settings(max_examples=25, deadline=None)

@@ -42,6 +42,12 @@ class TestNeutralElement:
         with pytest.raises(ValidationError):
             NeutralElement.additive(TrFN(0.4, 0.45, 0.5, 0.6))
 
+    def test_value_must_be_a_trapezoid(self):
+        with pytest.raises(
+            ValidationError, match="^neutral element must be a trapezoidal number, got str$"
+        ):
+            NeutralElement("x")
+
     def test_additive_requires_unit_interval(self):
         with pytest.raises(ValidationError) as info:
             NeutralElement.additive(TrFN(-0.1, 0.5, 0.5, 1.1))
@@ -173,6 +179,13 @@ class TestTrFPRValidation:
     def test_no_alternatives_are_rejected(self, neutral_4556):
         with pytest.raises(ValidationError, match="^a preference relation needs at least one"):
             TrFPR([], neutral_4556)
+
+    def test_neutral_must_be_a_neutral_element(self, neutral_4556):
+        t0 = neutral_4556.value
+        with pytest.raises(
+            ValidationError, match="^an additive relation needs an additive neutral element$"
+        ):
+            TrFPR(((t0,),), "x")
 
     def test_entries_must_be_trapezoids(self, neutral_4556):
         t0 = neutral_4556.value

@@ -255,6 +255,9 @@ class TestClassification:
         assert sol.objective_value is None
 
 
+PAIRS = r"bounds must be \(lower, upper\) pairs of real numbers"
+
+
 class TestValidation:
     def test_width_mismatch_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -281,6 +284,26 @@ class TestValidation:
             LinearProgram(c=[np.nan])
         with pytest.raises(ValidationError):
             LinearProgram(c=[1.0], a_ub=[[np.inf]], b_ub=[1.0])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(c=["x"]), "c must be an array of real numbers"),
+            (dict(c=[10**400]), "c must be an array of real numbers"),
+            (dict(c=[1.0], a_ub=[[1.0]], b_ub=["x"]), "b_ub must be an array of real numbers"),
+            (dict(c=[1.0], bounds=[(0, 1, 2)]), PAIRS),
+            (dict(c=[1.0], bounds=[5]), PAIRS),
+            (dict(c=[1.0], bounds=[(0,)]), PAIRS),
+            (dict(c=[1.0], bounds=[("x", 1)]), PAIRS),
+            (dict(c=[1.0], bounds=[(None, 1)]), PAIRS),
+            (dict(c=[1.0], bounds=[(0, 10**400)]), PAIRS),
+        ],
+        ids=["c-text", "c-overflow", "b_ub-text", "triple", "scalar", "single", "text", "none",
+             "overflow"],
+    )
+    def test_malformed_fields_are_refused_naming_the_field(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            LinearProgram(**fields)
 
     def test_inverted_bounds_are_rejected(self):
         with pytest.raises(ValidationError):
