@@ -195,7 +195,9 @@ def _iterate(T, basis, iters_left):
                     bland = True
 
 
-def _check_feasible(lp: LinearProgram, x, lo, hi, scale: float) -> None:
+def _check_feasible(
+    lp: LinearProgram, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale: float
+) -> None:
     worst = 0.0
     if lp.a_eq.shape[0]:
         worst = max(worst, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
