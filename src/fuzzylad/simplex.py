@@ -15,9 +15,11 @@ leaving rule always resolves ratio ties toward the smallest basis index.
 
 The tableau is column-major and the solver's only copy of the program:
 constraint rows are written straight into it and flipped in place to a
-non-negative right-hand side, and both cost rows are reduced from its rows.
-The ratio test looks only at rows with a positive pivot-column entry, and a
-pivot updates only the columns its row touches (see ``_pivot``).
+non-negative right-hand side, and ``_price`` reduces both phases' cost rows
+by its rows.  Every program runs phase 1, and a row it leaves redundant
+stays in place as a zero row, so the tableau is allocated once and never
+copied.  The ratio test looks only at rows with a positive pivot-column
+entry, and a pivot updates only the columns its row touches (see ``_pivot``).
 
 Five module constants bound the solver, and ``solve`` takes no options.
 ``FEAS_TOL`` is read against one scale per program, ``max(1, largest |b|)``
@@ -66,7 +68,7 @@ def _readonly(a, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class LinearProgram:
     """An immutable LP in the form min c@x, a_ub@x <= b_ub, a_eq@x == b_eq; lists are
-    accepted, a block left ``None`` is empty and ``None`` bounds are ``(0, +inf)`` each."""
+    accepted, each block is ``(rows, n)`` or omitted, and ``None`` bounds are ``(0, +inf)``."""
 
     c: np.ndarray
     a_ub: np.ndarray | None = None
@@ -85,11 +87,9 @@ class LinearProgram:
             _readonly(() if block is None else block, name)
             for name, block in zip(("a_ub", "b_ub", "a_eq", "b_eq"), blocks)
         )
-        try:
-            a_ub = a_ub.reshape(-1, n)
-            a_eq = a_eq.reshape(-1, n)
-        except ValueError as exc:
-            raise ValidationError(f"constraint matrix width must match {n} variables") from exc
+        a_ub, a_eq = (a.reshape(0, n) if a.size == 0 else a for a in (a_ub, a_eq))
+        if a_ub.shape[1:] != (n,) or a_eq.shape[1:] != (n,):
+            raise ValidationError(f"constraint matrix width must match {n} variables")
         if b_ub.ndim != 1 or b_ub.size != a_ub.shape[0]:
             raise ValidationError("b_ub length must match a_ub row count")
         if b_eq.ndim != 1 or b_eq.size != a_eq.shape[0]:
@@ -198,13 +198,9 @@ def _iterate(T, basis, iters_left):
 def _check_feasible(
     lp: LinearProgram, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale: float
 ) -> None:
-    worst = 0.0
-    if lp.a_eq.shape[0]:
-        worst = max(worst, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
-    if lp.a_ub.shape[0]:
-        worst = max(worst, float(np.max(lp.a_ub @ x - lp.b_ub)))
     worst = max(
-        worst,
+        float(np.abs(lp.a_eq @ x - lp.b_eq).max(initial=0.0)),
+        float((lp.a_ub @ x - lp.b_ub).max(initial=0.0)),
         float(np.max(np.where(np.isfinite(lo), lo - x, 0.0))),
         float(np.max(np.where(np.isfinite(hi), x - hi, 0.0))),
     )
@@ -226,6 +222,13 @@ def _subtract_rows(T: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> None
         block[1:] *= weights[start : start + 32, None]
         T[-1] = np.subtract.reduce(block, axis=0)
         del block  # before the next gather
+
+
+def _price(T: np.ndarray, basis: np.ndarray) -> None:
+    """Reduce the cost row by the rows of the basic columns it prices, in row order."""
+    weights = T[-1, basis]
+    rows = np.flatnonzero(weights)
+    _subtract_rows(T, rows, weights[rows])
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -286,46 +289,38 @@ def solve(lp: LinearProgram) -> LpSolution:
     # Phase-1 costs: 1 per artificial, less every artificial row in turn, so
     # a flipped row's slack ends at 0 - (-1) = 1 and every artificial at 0.
     T[-1, art_start:-1] = 1.0
-    _subtract_rows(T, needs_artificial, np.ones(n_art))
-    total_pivots = 0
+    _price(T, basis)
 
-    if n_art:
-        status, total_pivots = _iterate(T, basis, MAX_PIVOTS)
-        if status != "optimal":
-            raise ArithmeticError("phase 1 objective is bounded below; solver defect")
-        if -T[-1, -1] > FEAS_TOL * scale:
-            return LpSolution(LpStatus.INFEASIBLE, None, None, total_pivots)
-        # Remove leftover artificials: pivot them onto a real column when
-        # possible, otherwise the row is redundant and gets dropped.
-        keep = np.ones(m + 1, dtype=bool)
-        for i in np.flatnonzero(basis >= art_start):
-            candidates = np.flatnonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)
-            if candidates.size:
-                _pivot(T, i, int(candidates[0]))
-                basis[i] = int(candidates[0])
-                total_pivots += 1
-            else:
-                keep[i] = False
-        # Drop the artificial columns: the right-hand side moves next to
-        # the slacks and the tableau shrinks to a view of its first columns.
-        T[:, art_start] = T[:, -1]
-        T = T[:, : art_start + 1]
-        if not keep.all():
-            T = np.asfortranarray(T[keep])
-            basis = basis[keep[:m]]
-            m = len(basis)
+    status, total_pivots = _iterate(T, basis, MAX_PIVOTS)
+    if status != "optimal":
+        raise ArithmeticError("phase 1 objective is bounded below; solver defect")
+    if -T[-1, -1] > FEAS_TOL * scale:
+        return LpSolution(LpStatus.INFEASIBLE, None, None, total_pivots)
+    # Remove leftover artificials: pivot them onto a real column when possible,
+    # else zero the redundant row and give it the slot the right-hand side takes.
+    for i in np.flatnonzero(basis >= art_start):
+        candidates = np.flatnonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)
+        if candidates.size:
+            _pivot(T, i, int(candidates[0]))
+            basis[i] = int(candidates[0])
+            total_pivots += 1
+        else:
+            T[i] = 0.0
+            basis[i] = art_start
+    # Drop the artificial columns: the right-hand side moves next to the
+    # slacks and the tableau shrinks to a view of its first columns.
+    T[:, art_start] = T[:, -1]
+    T = T[:, : art_start + 1]
 
     T[-1] = 0.0
     T[-1, :n_std] = lp.c[var] * sign
-    weights = T[-1, basis]
-    rows = np.flatnonzero(weights)
-    _subtract_rows(T, rows, weights[rows])
+    _price(T, basis)
     status, pivots = _iterate(T, basis, MAX_PIVOTS - total_pivots)
     total_pivots += pivots
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, total_pivots)
 
-    x_std = np.zeros(art_start)
+    x_std = np.zeros(art_start + 1)
     x_std[basis] = T[:m, -1]
     x = base.copy()
     # Only a free variable gets two terms, on a zero base, so the order of

@@ -35,7 +35,7 @@ from fuzzylad import (
     to_additive,
     to_multiplicative,
 )
-from fuzzylad.simplex import LpSolution, LpStatus, solve
+from fuzzylad.simplex import LinearProgram, LpSolution, LpStatus, solve
 from conftest import (
     LATTICE,
     lattice_value,
@@ -209,23 +209,31 @@ class TestBuildLp:
         assert issubclass(SizeLimitError, ValidationError)
 
     def test_one_solve_needs_little_beyond_its_tableau_and_program(self):
-        lp = build_lp(rand_trfpr(np.random.default_rng(47), 7), Model.PUNIT)
-        lo, hi = np.array(lp.bounds).T
-        std_columns = lp.num_vars + int(np.count_nonzero(np.isinf(lo) & np.isinf(hi)))
-        ub_rows = lp.a_ub.shape[0] + int(np.count_nonzero(np.isfinite(lo) & np.isfinite(hi)))
-        rows = ub_rows + lp.a_eq.shape[0]
-        # Standard columns, one slack per inequality, at most one artificial
-        # per row and the right-hand side; the cost row below.
-        tableau_bytes = 8 * (rows + 1) * (std_columns + ub_rows + rows + 1)
-        program_bytes = sum(a.nbytes for a in (lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq))
-        tracemalloc.start()
-        try:
-            solution = solve(lp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert solution.status is LpStatus.OPTIMAL
-        assert peak <= 1.1 * (tableau_bytes + program_bytes)
+        psigma = build_lp(
+            rand_trfpr(np.random.default_rng(7), 7), Model.PSIGMA, TrFN(0.8, 0.9, 1.1, 1.2)
+        )
+        # Each equality row given twice, so phase 1 leaves redundant rows.
+        redundant = LinearProgram(
+            psigma.c, psigma.a_ub, psigma.b_ub, np.vstack([psigma.a_eq] * 2),
+            np.tile(psigma.b_eq, 2), psigma.bounds,
+        )
+        for lp in (build_lp(rand_trfpr(np.random.default_rng(47), 7), Model.PUNIT), redundant):
+            lo, hi = np.array(lp.bounds).T
+            std_columns = lp.num_vars + int(np.count_nonzero(np.isinf(lo) & np.isinf(hi)))
+            ub_rows = lp.a_ub.shape[0] + int(np.count_nonzero(np.isfinite(lo) & np.isfinite(hi)))
+            rows = ub_rows + lp.a_eq.shape[0]
+            # Standard columns, one slack per inequality, at most one artificial
+            # per row and the right-hand side; the cost row below.
+            tableau_bytes = 8 * (rows + 1) * (std_columns + ub_rows + rows + 1)
+            program_bytes = sum(a.nbytes for a in (lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq))
+            tracemalloc.start()
+            try:
+                solution = solve(lp)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert solution.status is LpStatus.OPTIMAL
+            assert peak <= 1.1 * (tableau_bytes + program_bytes)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_lp_has_a_feasible_point_and_an_objective_bounded_below(self, n):

@@ -263,6 +263,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LinearProgram(c=[1.0, 2.0], a_ub=[[1.0, 2.0, 3.0]], b_ub=[1.0])
 
+    @pytest.mark.parametrize(
+        "a_ub, b_ub",
+        [([[1, 2, 3], [4, 5, 6]], [1, 2, 3]), ([1, 2], [1]), ([[[1, 2]]], [1])],
+        ids=["rows-of-three-re-read-as-pairs", "flat", "three-d"],
+    )
+    def test_a_block_must_have_one_column_per_variable(self, a_ub, b_ub):
+        with pytest.raises(ValidationError, match="^constraint matrix width must match 2 variables$"):
+            LinearProgram(c=[1, 1], a_ub=a_ub, b_ub=b_ub)
+        with pytest.raises(ValidationError, match="^constraint matrix width must match 2 variables$"):
+            LinearProgram(c=[1, 1], a_eq=a_ub, b_eq=b_ub)
+
+    @pytest.mark.parametrize("block", [None, [], [[]], np.zeros((0, 2))])
+    def test_an_omitted_or_empty_block_has_no_rows(self, block):
+        lp = LinearProgram(c=[1, 1], a_ub=block, a_eq=block)
+        assert lp.a_ub.shape == lp.a_eq.shape == (0, 2)
+
     def test_rhs_length_mismatch_is_rejected(self):
         with pytest.raises(ValidationError):
             LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
