@@ -36,7 +36,8 @@ _Output = tuple[dict, list[str]]
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.4f}"
+    # From 1e16 on a double has no fractional digits, so four decimals add none.
+    return f"{x:.4f}" if abs(x) < 1e16 else f"{x:.6g}"
 
 
 def _rows(values) -> list[list[float]]:

@@ -170,6 +170,7 @@ class _Relation:
     @classmethod
     def from_upper(cls, array: np.ndarray, neutral: NeutralElement):
         """Upper triangle from ``array``, mirrored exactly below, ``neutral`` on the diagonal."""
+        cls._check_neutral(neutral)
         n = len(array)
         i, j = np.nonzero(_upper(n))
         full = np.array(array, dtype=float)
@@ -177,10 +178,14 @@ class _Relation:
         full[range(n), range(n)] = neutral.value.components
         return cls._of(full, neutral)
 
-    def _store(self, array: np.ndarray, neutral: NeutralElement) -> None:
-        if not isinstance(neutral, NeutralElement) or neutral._relation is not type(self):
-            phrase = self._kind_phrase
+    @classmethod
+    def _check_neutral(cls, neutral: NeutralElement) -> None:
+        if not isinstance(neutral, NeutralElement) or neutral._relation is not cls:
+            phrase = cls._kind_phrase
             raise ValidationError(f"{phrase} relation needs {phrase} neutral element")
+
+    def _store(self, array: np.ndarray, neutral: NeutralElement) -> None:
+        self._check_neutral(neutral)
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
         object.__setattr__(self, "neutral", neutral)

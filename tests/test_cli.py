@@ -343,6 +343,12 @@ class TestAhp:
         assert run_cli(capsys, "ahp", PORTFOLIO, "--compare")[0] == 0
         assert len(converted) == 6
 
+    def test_numbers_near_the_float_limit_print_in_short_lines(self, capsys):
+        sigma = "6.666666666666667e+299,7.5e+299,9.166666666666667e+299,1e300"
+        code, out, _ = run_cli(capsys, "ahp", PORTFOLIO, "--sigma", sigma)
+        assert code == 0
+        assert max(map(len, out.splitlines())) < 200
+
     def test_flat_file_is_rejected(self, capsys):
         code, _, err = run_cli(capsys, "ahp", ADDITIVE)
         assert code == 2

@@ -4,9 +4,12 @@ LAD optima are often faces rather than single points, and the utilities
 fuzzylad reports are the vertex its pivot path reaches.  For every problem
 file under the model the CLI picks by default (``problems/portfolio.json``
 holds the portfolio case study, one program per criterion), HiGHS solves the
-same LP for its optimal objective, then minimises and maximises each utility
-component over the optimal face.  fuzzylad's answer must reach the objective
-and lie inside every range; the assertion messages print the face widths.
+LAD LP for its optimal objective, then minimises and maximises each utility
+component over the optimal face.  That LP is the one
+``tests/test_lp_oracle.lad_lp`` writes, not ``build_lp``'s, so a wrong
+coefficient in ``build_lp`` cannot move the face.  fuzzylad's answer must
+reach the objective and lie inside every range; the assertion messages print
+the face widths.
 """
 
 from pathlib import Path
@@ -14,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzylad import Model, build_lp, derive_utility, derive_weights, load_problem, to_additive
+from fuzzylad import Model, derive_utility, derive_weights, load_problem, to_additive
+from test_lp_oracle import lad_lp
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -40,21 +44,22 @@ def cases() -> list[tuple[str, str, int | None]]:
 
 
 def default_answer(name: str, criterion: int | None):
-    """The CLI's default derivation: ``(answer, LP that produced it)``."""
+    """The CLI's default derivation: ``(answer, linprog arguments of its LAD LP)``."""
     problem = load_problem(PROBLEMS / name)
     if problem.kind == "ahp":
         y = problem.matrices[criterion]
-        return derive_weights(y, problem.sigma), build_lp(to_additive(y), Model.PSIGMA, problem.sigma)
+        lp = lad_lp(to_additive(y), Model.PSIGMA, problem.sigma, halved=False)
+        return derive_weights(y, problem.sigma), lp
     x = problem.relation if problem.kind == "additive" else to_additive(problem.relation)
     model = Model.PUNIT if problem.kind == "additive" else Model.P
-    return derive_utility(x, model), build_lp(x, model)
+    return derive_utility(x, model), lad_lp(x, model, None, halved=False)
 
 
 def highs(c, lp, a_ub, b_ub) -> float:
     """HiGHS's minimum of ``c @ x``; ``-inf`` when unbounded (the shift-invariant
     models leave utilities unbounded above on the optimal face)."""
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=lp.a_eq if lp.a_eq.size else None,
-                     b_eq=lp.b_eq if lp.b_eq.size else None, bounds=lp.bounds, method="highs")
+    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=lp["A_eq"], b_eq=lp["b_eq"],
+                     bounds=lp["bounds"], method="highs")
     if result.status == 3:
         return -np.inf
     assert result.status == 0, result.message
@@ -63,10 +68,11 @@ def highs(c, lp, a_ub, b_ub) -> float:
 
 def optimal_face(lp, n: int) -> tuple[float, np.ndarray, np.ndarray]:
     """HiGHS's optimum and each utility component's range on its optimal face."""
-    best = highs(lp.c, lp, lp.a_ub, lp.b_ub)
-    a_ub = np.vstack([lp.a_ub, lp.c])
-    b_ub = np.append(lp.b_ub, best + FACE_SLACK)
-    unit = np.eye(lp.num_vars)[: 4 * n]
+    best = highs(lp["c"], lp, lp["A_ub"], lp["b_ub"])
+    a_ub = np.vstack([lp["A_ub"], lp["c"]])
+    b_ub = np.append(lp["b_ub"], best + FACE_SLACK)
+    # lad_lp's first 4n variables are the utilities, component by component.
+    unit = np.eye(lp["c"].size)[: 4 * n]
     low = np.array([highs(e, lp, a_ub, b_ub) for e in unit])
     high = np.array([-highs(-e, lp, a_ub, b_ub) for e in unit])
     return best, low.reshape(n, 4), high.reshape(n, 4)

@@ -187,6 +187,14 @@ class TestTrFPRValidation:
         ):
             TrFPR(((t0,),), "x")
 
+    @pytest.mark.parametrize(
+        "cls, phrase", [(TrFPR, "an additive"), (TrMPR, "a multiplicative")], ids=["TrFPR", "TrMPR"]
+    )
+    def test_from_upper_checks_the_neutral_before_reading_it(self, cls, phrase):
+        message = f"^{phrase} relation needs {phrase} neutral element$"
+        with pytest.raises(ValidationError, match=message):
+            cls.from_upper(np.full((2, 2, 4), 0.5), "x")
+
     def test_entries_must_be_trapezoids(self, neutral_4556):
         t0 = neutral_4556.value
         with pytest.raises(ValidationError, match=r"^entry \(1,2\) is not a trapezoidal number$"):
