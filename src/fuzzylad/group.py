@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lad import Model, UtilityVector, derive_utility, evaluate_objective
+from .lad import Model, UtilityVector, _utilities, derive_utility, evaluate_objective
 from .relations import TrFPR, _bounds, _require_kind
 from .trfn import TrFN, _real
 
@@ -71,9 +71,9 @@ def weighted_sum(weights: Sequence[float], arrays: Sequence[np.ndarray]) -> np.n
 def combine_utilities(
     weights: Sequence[float], vectors: Sequence[UtilityVector]
 ) -> tuple[TrFN, ...]:
-    """Componentwise ``sum_k weights[k] * vectors[k]`` of equally long utility vectors."""
+    """Componentwise ``sum_k weights[k] * vectors[k]``, finished for the first vector's model."""
     parts = [np.array([u.components for u in vec.utilities]) for vec in vectors]
-    return tuple(TrFN(*row) for row in weighted_sum(weights, parts).tolist())
+    return _utilities(weighted_sum(weights, parts), vectors[0].model)
 
 
 class GroupWeights(tuple):

@@ -24,7 +24,7 @@ Model variants differ only in side constraints on the utility components:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -42,7 +42,7 @@ from .relations import (
     to_additive,
 )
 from .simplex import LinearProgram, LpStatus, solve
-from .trfn import TrFN, _real, _trfns, add, crisp
+from .trfn import TrFN, _real, _trfns
 
 __all__ = [
     "Model",
@@ -116,7 +116,6 @@ class UtilityVector:
                     f"model {self.model.value} requires non-negative utilities, "
                     f"utility {k + 1} = {u}"
                 )
-        for k, u in enumerate(self.utilities):
             if u.d > upper_d:
                 raise ValidationError(
                     f"model {self.model.value} keeps utilities inside [0, 1], utility {k + 1} = {u}"
@@ -236,11 +235,12 @@ def _snap(values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(values - 1.0) < _SNAP_TOL, 1.0, values)
 
 
-def _extract_utilities(x_arr: np.ndarray, n: int, model: Model) -> tuple[TrFN, ...]:
-    comps = np.maximum.accumulate(_snap(x_arr[: 4 * n].reshape(n, 4)), axis=1)
+def _utilities(comps: np.ndarray, model: Model) -> tuple[TrFN, ...]:
+    """The one finishing step of every utility vector: put in order, clamp to ``model.bounds``."""
+    comps = np.maximum.accumulate(comps, axis=1)
     lower_a, upper_d = model.bounds
     comps = np.minimum(np.maximum(comps, lower_a), upper_d)
-    return tuple(TrFN(*row) for row in comps)
+    return tuple(TrFN(*row) for row in comps.tolist())
 
 
 def derive_utility(
@@ -260,7 +260,7 @@ def derive_utility(
     if solution.status is not LpStatus.OPTIMAL:
         status = solution.status.value
         raise ArithmeticError(f"the solver read the deviation LP {status}; each has an optimum")
-    utilities = _extract_utilities(solution.x, x.n, model)
+    utilities = _utilities(_snap(solution.x[: 4 * x.n].reshape(x.n, 4)), model)
     recomputed = evaluate_objective(x, utilities)
     bound = OBJECTIVE_AGREEMENT_TOL * max(1.0, recomputed)
     if abs(recomputed - solution.objective_value) > bound:
@@ -280,12 +280,9 @@ def shift_normalize(u: UtilityVector) -> UtilityVector:
     """
     if u.model is not Model.P0:
         raise ValidationError(f"shift normalization applies to model p0, got {u.model.value}")
-    delta = max(0.0, -min(t.a for t in u.utilities))
-    if delta == 0.0:
-        return replace(u, model=Model.P)
-    offset = crisp(delta)
-    shifted = tuple(add(t, offset) for t in u.utilities)
-    return UtilityVector(shifted, u.objective, Model.P)
+    comps = np.array([t.components for t in u.utilities])
+    shifted = comps + max(0.0, -comps[:, 0].min())
+    return UtilityVector(_utilities(shifted, Model.P), u.objective, Model.P)
 
 
 def derive_utility_mult(y: TrMPR) -> UtilityVector:
@@ -318,6 +315,6 @@ def fast_path_consistent(
         )
     x = _additive(x, "fast_path_consistent")
 
-    utilities = tuple(TrFN(*row) for row in _snap(x.array[:, k]).tolist())
+    utilities = _utilities(_snap(x.array[:, k]), Model.P)
     objective = evaluate_objective(x, utilities)
     return UtilityVector(utilities, objective, Model.P)
