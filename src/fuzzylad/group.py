@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lad import Model, UtilityVector, _utilities, derive_utility, evaluate_objective
+from .lad import Model, UtilityVector, _require_vector, _utilities, derive_utility, evaluate_objective
 from .relations import TrFPR, _bounds, _require_kind
 from .trfn import TrFN, _real
 
@@ -109,16 +109,17 @@ def aggregate_utilities(
     vectors, weights = tuple(vectors), convex_weights(weights, "group weights")
     if len(vectors) != len(weights):
         raise ValidationError(f"got {len(vectors)} vectors for {len(weights)} weights")
-    n, model = vectors[0].n, vectors[0].model
+    first = vectors[0]
     for e, vec in enumerate(vectors):
-        if vec.n != n:
-            raise ValidationError(f"vector {e + 1} has length {vec.n}, expected {n}")
-        if vec.model is not model:
-            got, want = vec.model.value, model.value
+        _require_vector(vec, f"vector {e + 1}")
+        if vec.n != first.n:
+            raise ValidationError(f"vector {e + 1} has length {vec.n}, expected {first.n}")
+        if vec.model is not first.model:
+            got, want = vec.model.value, first.model.value
             raise ValidationError(f"vector {e + 1} has model {got}, expected {want}")
     combined = combine_utilities(weights, vectors)
     objective = evaluate_objective(matrix, combined)
-    return UtilityVector(combined, objective, model)
+    return UtilityVector(combined, objective, first.model)
 
 
 @dataclass(frozen=True)

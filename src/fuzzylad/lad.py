@@ -93,6 +93,11 @@ def _require_model(model, where: str) -> None:
         raise ValidationError(f"{where}: expected a Model, got {type(model).__name__}")
 
 
+def _require_vector(vector, where: str) -> None:
+    if not isinstance(vector, UtilityVector):
+        raise ValidationError(f"{where}: expected a UtilityVector, got {type(vector).__name__}")
+
+
 @dataclass(frozen=True)
 class UtilityVector:
     """Per-alternative fuzzy utilities plus the deviation they achieve."""
@@ -278,6 +283,7 @@ def shift_normalize(u: UtilityVector) -> UtilityVector:
     comparisons, hence the objective, unchanged; the smallest shift that
     clears negativity is the negated minimum support start.
     """
+    _require_vector(u, "shift_normalize")
     if u.model is not Model.P0:
         raise ValidationError(f"shift normalization applies to model p0, got {u.model.value}")
     comps = np.array([t.components for t in u.utilities])
@@ -306,6 +312,10 @@ def fast_path_consistent(
     kind's transitivity scan at ``tol``.
     """
     _require_kind(x, _Relation, "fast_path_consistent")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValidationError(
+            f"fast_path_consistent: expected an integer column index, got {type(k).__name__}"
+        )
     if not 0 <= k < x.n:
         raise ValidationError(f"column index {k} outside 0..{x.n - 1}")
     report = check_consistency(x, tol)

@@ -24,6 +24,7 @@ alternatives are labelled in CLI output.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -90,6 +91,23 @@ def _upper(n: int) -> np.ndarray:
     return np.arange(n)[:, None] < np.arange(n)
 
 
+def _cells(array) -> np.ndarray:
+    """``array`` as a float64 ``(n, n, 4)`` array with ``n >= 1``, else a ValidationError.
+
+    A float64 array comes back as itself, so a caller that writes copies it.
+    """
+    try:
+        cells = np.asarray(array, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"a preference relation needs a numeric array: {exc}") from exc
+    if cells.shape[:1] == (0,):
+        raise ValidationError("a preference relation needs at least one alternative")
+    if cells.shape != cells.shape[:1] * 2 + (4,):
+        shape = cells.shape
+        raise ValidationError(f"a preference relation needs an (n, n, 4) array, got shape {shape}")
+    return cells
+
+
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first true element of ``mask`` in row-major order."""
     return tuple(np.argwhere(mask)[0].tolist()) if mask.any() else None
@@ -151,8 +169,6 @@ class _Relation:
 
     def __init__(self, entries: Sequence[Sequence[TrFN]], neutral: NeutralElement) -> None:
         rows = tuple(tuple(row) for row in entries)
-        if not rows:
-            raise ValidationError("a preference relation needs at least one alternative")
         for i, row in enumerate(rows):
             if len(row) != len(rows):
                 raise ValidationError(f"row {i + 1} has {len(row)} entries, expected {len(rows)}")
@@ -171,10 +187,10 @@ class _Relation:
     def from_upper(cls, array: np.ndarray, neutral: NeutralElement):
         """Upper triangle from ``array``, mirrored exactly below, ``neutral`` on the diagonal."""
         cls._check_neutral(neutral)
-        n = len(array)
+        full = _cells(array).copy()
+        n = len(full)
         i, j = np.nonzero(_upper(n))
-        full = np.array(array, dtype=float)
-        full[j, i] = cls._mirror(array[i, j])
+        full[j, i] = cls._mirror(full[i, j])
         full[range(n), range(n)] = neutral.value.components
         return cls._of(full, neutral)
 
@@ -186,6 +202,7 @@ class _Relation:
 
     def _store(self, array: np.ndarray, neutral: NeutralElement) -> None:
         self._check_neutral(neutral)
+        array = _cells(array)
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
         object.__setattr__(self, "neutral", neutral)
@@ -356,7 +373,7 @@ class ConsistencyReport:
 
 def _scan_triples(relation, tol: float, where: str) -> ConsistencyReport:
     _require_kind(relation, _Relation, where)
-    if not 0.0 <= tol < math.inf:
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
     # violation[i, j, k] compares x_ij (.) t0 with x_ik (.) x_kj, (.) the relation's own.
     array, combine = relation.array, relation._combine

@@ -16,6 +16,7 @@ Two conventions matter throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -224,7 +225,7 @@ def rank(
     values = _trfns(values, "rank: value")
     if not values:
         raise ValidationError("cannot rank an empty sequence")
-    if not tie_tol >= 0.0:
+    if not (isinstance(tie_tol, numbers.Real) and tie_tol >= 0.0):
         raise ValidationError(f"tie tolerance must be non-negative, got {tie_tol}")
     mags = tuple(magnitude(t, weights) for t in values)
     order = sorted(range(len(values)), key=lambda i: (-mags[i], i))

@@ -232,6 +232,35 @@ class TestAggregateUtilities:
         with pytest.raises(ValidationError, match=expected):
             aggregate_utilities(vectors, GroupWeights((0.5, 0.5)), base_relation)
 
+    def test_what_is_not_a_utility_vector_is_rejected(self, base_relation):
+        with pytest.raises(ValidationError, match="^vector 1: expected a UtilityVector, got str$"):
+            aggregate_utilities(["x"], [1.0], base_relation)
+
+    def test_unit_vectors_combine_inside_the_unit_interval(self, base_relation):
+        # These weights sum to 1 + 2.2e-16, so the plain weighted sum of the
+        # last components rounds to 1.0000000000000002.
+        vector = UtilityVector((TrFN(0, 0.5, 0.9, 1.0), TrFN(0, 0.1, 0.2, 1.0)), 0.0, Model.PUNIT)
+        weights = (0.6202543683944639, 0.1050450131239899, 0.2747006184815463)
+        x = two_by_two(TrFN(0.5, 0.6, 0.6, 0.7), base_relation.neutral)
+        combined = aggregate_utilities((vector,) * 3, weights, x)
+        assert combined.model is Model.PUNIT
+        assert [u.d for u in combined.utilities] == [1.0, 1.0]
+
+    def test_identical_unit_experts_combine_under_any_convex_weights(self):
+        rng = np.random.default_rng(0)
+        touching_one = 0
+        for _ in range(300):
+            x = rand_trfpr(rng, 4)
+            expert = derive_utility(x, Model.PUNIT)
+            if max(u.d for u in expert.utilities) != 1.0:
+                continue
+            touching_one += 1
+            k = int(rng.integers(2, 6))
+            weights = rng.dirichlet(np.ones(k))
+            combined = aggregate_utilities((expert,) * k, (weights / weights.sum()).tolist(), x)
+            assert 1.0 - 1e-15 <= max(u.d for u in combined.utilities) <= 1.0
+        assert touching_one > 100
+
 
 class TestBoundChain:
     def test_identical_experts_collapse_the_sandwich(self, base_relation):

@@ -13,9 +13,11 @@ from fuzzylad import (
     MAX_SIGMA,
     IterationLimitError,
     Model,
+    NeutralElement,
     NotConsistentError,
     SizeLimitError,
     TrFN,
+    TrFPR,
     TrMPR,
     UtilityVector,
     ValidationError,
@@ -387,10 +389,22 @@ class TestShiftNormalize:
         assert shifted.utilities == u.utilities
         assert shifted.model is Model.P
 
+    def test_a_vector_touching_zero_keeps_its_components(self):
+        u = UtilityVector((TrFN(0.0, 0.2, 0.3, 0.4), TrFN(0.2, 0.3, 0.4, 0.5)), 0.125, Model.P0)
+        shifted = shift_normalize(u)
+        assert shifted.utilities == u.utilities
+        assert shifted.model is Model.P
+
     def test_only_the_free_model_is_accepted(self, base_relation):
         signed = derive_utility(base_relation, Model.P)
         with pytest.raises(ValidationError):
             shift_normalize(signed)
+
+    def test_what_is_not_a_utility_vector_is_refused(self):
+        with pytest.raises(
+            ValidationError, match="^shift_normalize: expected a UtilityVector, got str$"
+        ):
+            shift_normalize("x")
 
 
 class TestRatioScalePaths:
@@ -465,6 +479,8 @@ class TestFastPath:
         for k in range(3):
             result = fast_path_consistent(consistent_relation, k=k)
             assert result.objective <= 1e-12
+        same = fast_path_consistent(consistent_relation, k=np.int64(1))
+        assert same == fast_path_consistent(consistent_relation, k=1)
 
     def test_fast_path_agrees_with_the_solver(self, consistent_relation):
         fast = fast_path_consistent(consistent_relation)
@@ -475,9 +491,20 @@ class TestFastPath:
         with pytest.raises(NotConsistentError):
             fast_path_consistent(base_relation)
 
-    def test_column_index_is_validated(self, consistent_relation):
+    @pytest.mark.parametrize("k", [3, "1", None, 1.5, True])
+    def test_column_index_is_validated(self, consistent_relation, k):
         with pytest.raises(ValidationError):
-            fast_path_consistent(consistent_relation, k=3)
+            fast_path_consistent(consistent_relation, k=k)
+
+    def test_a_column_inside_the_accepted_band_is_clamped_into_model_p(self):
+        # -1e-12 lies inside the relation's band around [0, 1], and every
+        # relation of two alternatives is consistent.
+        upper = np.zeros((2, 2, 4))
+        upper[0, 1] = (-1e-12, 0.1, 0.1, 0.2)
+        x = TrFPR.from_upper(upper, NeutralElement.additive(TrFN(0.4, 0.5, 0.5, 0.6)))
+        result = fast_path_consistent(x, 1)
+        assert result.utilities == (TrFN(0.0, 0.1, 0.1, 0.2), TrFN(0.4, 0.5, 0.5, 0.6))
+        assert result.model is Model.P
 
     def test_relations_above_the_lp_size_limit_are_accepted(self):
         x = rand_consistent_trfpr(np.random.default_rng(42), MAX_LP_ALTERNATIVES + 9)

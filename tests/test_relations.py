@@ -195,6 +195,25 @@ class TestTrFPRValidation:
         with pytest.raises(ValidationError, match=message):
             cls.from_upper(np.full((2, 2, 4), 0.5), "x")
 
+    @pytest.mark.parametrize(
+        "array, message",
+        [
+            (np.zeros((0, 0, 4)), "^a preference relation needs at least one alternative$"),
+            (np.zeros((2, 2)), r"needs an \(n, n, 4\) array, got shape \(2, 2\)$"),
+            (np.zeros((2, 2, 3)), r"needs an \(n, n, 4\) array, got shape \(2, 2, 3\)$"),
+            ([[["a", "b", "c", "d"]]], "^a preference relation needs a numeric array"),
+        ],
+        ids=["empty", "no-components", "three-components", "non-numeric"],
+    )
+    def test_from_upper_refuses_an_empty_or_mis_shaped_array(self, neutral_4556, array, message):
+        with pytest.raises(ValidationError, match=message):
+            TrFPR.from_upper(array, neutral_4556)
+
+    def test_from_upper_reads_a_nested_list_as_its_array(self, neutral_4556):
+        upper = np.zeros((2, 2, 4))
+        upper[0, 1] = (0.5, 0.6, 0.6, 0.7)
+        assert TrFPR.from_upper(upper.tolist(), neutral_4556) == TrFPR.from_upper(upper, neutral_4556)
+
     def test_entries_must_be_trapezoids(self, neutral_4556):
         t0 = neutral_4556.value
         with pytest.raises(ValidationError, match=r"^entry \(1,2\) is not a trapezoidal number$"):
@@ -370,7 +389,7 @@ class TestConsistency:
         assert dataclasses.replace(report, tol=0.2).consistent
         assert not dataclasses.replace(report, tol=0.2, max_violation=0.3).consistent
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12, "x", None])
     def test_tolerance_must_be_finite_and_non_negative(self, base_relation, ratio_relation, tol):
         with pytest.raises(ValidationError, match="finite and non-negative"):
             check_consistency(base_relation, tol)

@@ -281,7 +281,7 @@ class TestRanking:
         ranking = rank(values, tie_tol=1e-9)
         assert ranking.groups == ((1,), (0,))
 
-    @pytest.mark.parametrize("tie_tol", [-1e-9, float("nan")])
+    @pytest.mark.parametrize("tie_tol", [-1e-9, float("nan"), "x", None])
     def test_tie_tolerance_must_be_non_negative(self, tie_tol):
         values = (TrFN(0.5, 0.5, 0.5, 0.5), TrFN(0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValidationError, match="tie tolerance must be non-negative"):
