@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, located
+from .errors import _expect, located
 from .group import _check_group, combine_utilities
 from .lad import UtilityVector, _validate_sigma, derive_weights, evaluate_objective
 from .relations import TrFPR, TrMPR, _require_kind
@@ -38,15 +38,12 @@ class AhpProblem:
 
     def __post_init__(self) -> None:
         matrices, weights = _check_group(
-            self.matrices, self.criteria_weights, "criteria weights", TrMPR, "criterion"
+            self.matrices, self.criteria_weights, "criteria", TrMPR, "criterion"
         )
         object.__setattr__(self, "criteria_weights", weights)
         object.__setattr__(self, "matrices", matrices)
         _validate_sigma(self.sigma)
-        if not isinstance(self.mag_weights, MagWeights):
-            raise ValidationError(
-                f"magnitude weights must be MagWeights, got {type(self.mag_weights).__name__}"
-            )
+        _expect(self.mag_weights, MagWeights, "AhpProblem", "MagWeights")
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,7 @@ def run_ahp(problem: AhpProblem) -> AhpResult:
     local weights for alternative ``i``.  A refusal or pivot-budget error
     names its criterion.
     """
+    _expect(problem, AhpProblem, "run_ahp", "an AhpProblem")
     local: list[UtilityVector] = []
     for k, y in enumerate(problem.matrices):
         local.append(located(f"criterion {k + 1}", derive_weights, y, problem.sigma))

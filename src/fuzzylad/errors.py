@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one helper that locates them."""
+"""Exception types shared across the package, the one wrong-type rule, and ``located``."""
+
+from collections.abc import Iterable
 
 __all__ = [
     "ValidationError",
@@ -45,3 +47,20 @@ def located(where: str, build, *args):
         return build(*args)
     except (ValidationError, ParseError, IterationLimitError) as exc:
         raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _expect(value, types, where: str, noun: str):
+    """``value`` if it is an instance of ``types``; otherwise the one wrong-type refusal.
+
+    Every public door refuses an argument of the wrong type with
+    ``ValidationError("<where>: expected <noun>, got <type name>")``.  A bool
+    is never accepted: no door takes one, and it is not a number.
+    """
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(f"{where}: expected {noun}, got {type(value).__name__}")
+    return value
+
+
+def _items(value, where: str) -> tuple:
+    """``tuple(value)``; a value that is not ``Iterable`` is refused as ``a sequence``."""
+    return tuple(_expect(value, Iterable, where, "a sequence"))

@@ -32,10 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, located
+from .errors import ParseError, ValidationError, _expect, located
 from .group import convex_weights
 from .lad import _validate_sigma
-from .relations import NeutralElement, TrFPR, TrMPR
+from .relations import NeutralElement, TrFPR, TrMPR, _Relation, _require_kind
 from .trfn import MagWeights, TrFN
 
 __all__ = ["LoadedProblem", "load_problem", "save_problem", "parse_scalar", "relation_to_dict"]
@@ -137,8 +137,9 @@ def load_problem(path) -> LoadedProblem:
     that is not the neutral element, out-of-range entries) raises
     ValidationError with 1-based coordinates in the message.
     """
+    path = Path(_expect(path, (str, os.PathLike), "load_problem", "a path"))
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
@@ -195,8 +196,7 @@ def load_problem(path) -> LoadedProblem:
 
 def relation_to_dict(relation: TrFPR | TrMPR) -> dict:
     """Serialize a relation into the problem-file structure, kind and scale from its neutral."""
-    if not isinstance(relation, (TrFPR, TrMPR)):
-        raise ValidationError("only additive and multiplicative relations can be serialized")
+    _require_kind(relation, _Relation, "relation_to_dict")
     neutral = relation.neutral
     head: dict = {"kind": neutral.kind, "n": relation.n}
     if neutral.scale is not None:
@@ -214,7 +214,7 @@ def save_problem(path, relation: TrFPR | TrMPR) -> None:
     An OSError that names a file names ``path``, never the temporary, whose
     name carries the process id.
     """
-    path = Path(path)
+    path = Path(_expect(path, (str, os.PathLike), "save_problem", "a path"))
     text = json.dumps(relation_to_dict(relation), indent=2) + "\n"
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

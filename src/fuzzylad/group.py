@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .lad import Model, UtilityVector, _require_vector, _utilities, derive_utility, evaluate_objective
+from .errors import ValidationError, _expect, _items
+from .lad import Model, UtilityVector, _utilities, derive_utility, evaluate_objective
 from .relations import TrFPR, _bounds, _require_kind
 from .trfn import TrFN, _real
 
@@ -31,7 +31,7 @@ BOUND_SLACK = 1e-7
 
 def convex_weights(values: Sequence[float], name: str) -> tuple[float, ...]:
     """``values`` as floats, checked to be finite, non-negative and to sum to 1."""
-    values = tuple(_real(v, f"{name}: weight {k + 1}") for k, v in enumerate(values))
+    values = tuple(_real(v, f"{name}: weight {k + 1}") for k, v in enumerate(_items(values, name)))
     if not values:
         raise ValidationError(f"{name} cannot be empty")
     for k, w in enumerate(values):
@@ -43,10 +43,10 @@ def convex_weights(values: Sequence[float], name: str) -> tuple[float, ...]:
     return values
 
 
-def _check_group(members, weights, weights_name: str, cls: type, name: str) -> tuple:
+def _check_group(members, weights, group: str, cls: type, name: str) -> tuple:
     """``(members, weights)``: ``cls`` relations of one size and neutral, one per convex weight."""
-    weights = convex_weights(weights, weights_name)
-    members = tuple(members)
+    weights = convex_weights(weights, f"{group} weights")
+    members = _items(members, group)
     if len(members) != len(weights):
         raise ValidationError(f"got {len(weights)} weights for {len(members)} relations")
     for k, member in enumerate(members):
@@ -92,7 +92,7 @@ def aggregate_relations(relations: Sequence[TrFPR], weights: Sequence[float]) ->
     triangle and the diagonal as the shared neutral element; both equal the
     entrywise combination mathematically but stay bit-exactly reciprocal.
     """
-    relations, weights = _check_group(relations, weights, "group weights", TrFPR, "relation")
+    relations, weights = _check_group(relations, weights, "group", TrFPR, "relation")
     combined = weighted_sum(weights, [rel.array for rel in relations])
     return TrFPR.from_upper(combined, relations[0].neutral)
 
@@ -106,12 +106,12 @@ def aggregate_utilities(
     is the deviation the combined utilities achieve on the supplied
     (typically aggregated) relation.
     """
-    vectors, weights = tuple(vectors), convex_weights(weights, "group weights")
+    vectors, weights = _items(vectors, "vectors"), convex_weights(weights, "group weights")
     if len(vectors) != len(weights):
         raise ValidationError(f"got {len(vectors)} vectors for {len(weights)} weights")
     first = vectors[0]
     for e, vec in enumerate(vectors):
-        _require_vector(vec, f"vector {e + 1}")
+        _expect(vec, UtilityVector, f"vector {e + 1}", "a UtilityVector")
         if vec.n != first.n:
             raise ValidationError(f"vector {e + 1} has length {vec.n}, expected {first.n}")
         if vec.model is not first.model:
@@ -140,7 +140,7 @@ class BoundsReport:
 
 def verify_bounds(relations: Sequence[TrFPR], weights: Sequence[float]) -> BoundsReport:
     """Evaluate the aggregation bound chain under model P, checking the group before any LP."""
-    relations, weights = _check_group(relations, weights, "group weights", TrFPR, "relation")
+    relations, weights = _check_group(relations, weights, "group", TrFPR, "relation")
     per_expert = tuple(derive_utility(rel, Model.P) for rel in relations)
     merged = aggregate_relations(relations, weights)
     at_combined = aggregate_utilities(per_expert, weights, merged)

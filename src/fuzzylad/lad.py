@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotConsistentError, SizeLimitError, ValidationError, located
+from .errors import NotConsistentError, SizeLimitError, ValidationError, _expect, located
 from .relations import (
     DEFAULT_CONSISTENCY_TOL,
     TrFPR,
@@ -88,16 +88,6 @@ class Model(str, Enum):
         return (-np.inf if self is Model.P0 else 0.0), (1.0 if self is Model.PUNIT else np.inf)
 
 
-def _require_model(model, where: str) -> None:
-    if not isinstance(model, Model):
-        raise ValidationError(f"{where}: expected a Model, got {type(model).__name__}")
-
-
-def _require_vector(vector, where: str) -> None:
-    if not isinstance(vector, UtilityVector):
-        raise ValidationError(f"{where}: expected a UtilityVector, got {type(vector).__name__}")
-
-
 @dataclass(frozen=True)
 class UtilityVector:
     """Per-alternative fuzzy utilities plus the deviation they achieve."""
@@ -107,13 +97,13 @@ class UtilityVector:
     model: Model
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "utilities", _trfns(self.utilities))
+        object.__setattr__(self, "utilities", _trfns(self.utilities, "UtilityVector"))
         if not self.utilities:
             raise ValidationError("a utility vector needs at least one entry")
         object.__setattr__(self, "objective", _real(self.objective, "objective"))
         if self.objective < 0.0:
             raise ValidationError(f"objective must be non-negative, got {self.objective}")
-        _require_model(self.model, "UtilityVector")
+        _expect(self.model, Model, "UtilityVector", "a Model")
         lower_a, upper_d = self.model.bounds
         for k, u in enumerate(self.utilities):
             if u.a < lower_a:
@@ -145,7 +135,7 @@ def evaluate_objective(x: TrFPR | TrMPR, utilities: Sequence[TrFN]) -> float:
     ``u_i + (u_j negated)`` in normalized L1 distance and sums up.
     """
     x = _additive(x, "evaluate_objective")
-    utilities = _trfns(utilities)
+    utilities = _trfns(utilities, "evaluate_objective")
     if len(utilities) != x.n:
         raise ValidationError(f"expected {x.n} utilities, got {len(utilities)}")
     u = np.array([t.components for t in utilities])
@@ -156,8 +146,7 @@ def evaluate_objective(x: TrFPR | TrMPR, utilities: Sequence[TrFN]) -> float:
 
 
 def _validate_sigma(sigma: TrFN) -> TrFN:
-    if not isinstance(sigma, TrFN):
-        raise ValidationError("the total-utility target must be a trapezoidal number")
+    _expect(sigma, TrFN, "sigma", "a trapezoidal number")
     if sigma.a <= 0.0:
         raise ValidationError(
             f"the total-utility target must be strictly positive, got {sigma}"
@@ -176,7 +165,7 @@ def build_lp(x: TrFPR | TrMPR, model: Model, sigma: TrFN | None = None) -> Linea
     implied (for example non-negativity of the b component under model P)
     is left to the ordering chain.
     """
-    _require_model(model, "build_lp")
+    _expect(model, Model, "build_lp", "a Model")
     if model is Model.QSIGMA:
         raise ValidationError("model qsigma labels results; derive with model psigma")
     x = _additive(x, "build_lp")
@@ -283,7 +272,7 @@ def shift_normalize(u: UtilityVector) -> UtilityVector:
     comparisons, hence the objective, unchanged; the smallest shift that
     clears negativity is the negated minimum support start.
     """
-    _require_vector(u, "shift_normalize")
+    _expect(u, UtilityVector, "shift_normalize", "a UtilityVector")
     if u.model is not Model.P0:
         raise ValidationError(f"shift normalization applies to model p0, got {u.model.value}")
     comps = np.array([t.components for t in u.utilities])
@@ -312,10 +301,7 @@ def fast_path_consistent(
     kind's transitivity scan at ``tol``.
     """
     _require_kind(x, _Relation, "fast_path_consistent")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValidationError(
-            f"fast_path_consistent: expected an integer column index, got {type(k).__name__}"
-        )
+    _expect(k, (int, np.integer), "fast_path_consistent", "an integer column index")
     if not 0 <= k < x.n:
         raise ValidationError(f"column index {k} outside 0..{x.n - 1}")
     report = check_consistency(x, tol)

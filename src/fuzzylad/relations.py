@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfUnitIntervalError, ValidationError
+from .errors import OutOfUnitIntervalError, ValidationError, _expect, _items
 from .trfn import TrFN, _float, _trfns
 
 __all__ = [
@@ -126,10 +126,7 @@ class NeutralElement:
     scale: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, TrFN):
-            raise ValidationError(
-                f"neutral element must be a trapezoidal number, got {type(self.value).__name__}"
-            )
+        _expect(self.value, TrFN, "NeutralElement", "a trapezoidal number")
         if self.scale is not None:
             _check_scale(self.scale)
         t, rule = self.value, self._relation
@@ -168,7 +165,8 @@ class _Relation:
     neutral: NeutralElement
 
     def __init__(self, entries: Sequence[Sequence[TrFN]], neutral: NeutralElement) -> None:
-        rows = tuple(tuple(row) for row in entries)
+        where = type(self).__name__
+        rows = tuple(_items(row, where) for row in _items(entries, where))
         for i, row in enumerate(rows):
             if len(row) != len(rows):
                 raise ValidationError(f"row {i + 1} has {len(row)} entries, expected {len(rows)}")
@@ -288,10 +286,7 @@ def _check_scale(m: int) -> None:
 
 
 def _require_kind(relation, cls: type, where: str) -> None:
-    if not isinstance(relation, cls):
-        raise ValidationError(
-            f"{where}: expected {cls._kind_phrase} relation, got {type(relation).__name__}"
-        )
+    _expect(relation, cls, where, f"{cls._kind_phrase} relation")
 
 
 def phi(x: float, m: int) -> float:
@@ -373,7 +368,7 @@ class ConsistencyReport:
 
 def _scan_triples(relation, tol: float, where: str) -> ConsistencyReport:
     _require_kind(relation, _Relation, where)
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
     # violation[i, j, k] compares x_ij (.) t0 with x_ik (.) x_kj, (.) the relation's own.
     array, combine = relation.array, relation._combine
@@ -415,7 +410,7 @@ def from_utilities(utilities: Sequence[TrFN], neutral: NeutralElement) -> TrFPR:
     """
     if not isinstance(neutral, NeutralElement) or neutral.scale is not None:
         raise ValidationError("from_utilities needs an additive neutral element")
-    utilities = _trfns(utilities)
+    utilities = _trfns(utilities, "from_utilities")
     if not utilities:
         raise ValidationError("from_utilities needs at least one utility")
     t0 = neutral.value

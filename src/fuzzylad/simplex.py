@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import IterationLimitError, ValidationError
+from .errors import IterationLimitError, ValidationError, _expect
 
 __all__ = ["LinearProgram", "LpSolution", "LpStatus", "solve"]
 
@@ -238,6 +238,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         LpSolution with status OPTIMAL (and a primal-feasible ``x``),
         INFEASIBLE, or UNBOUNDED.
     """
+    _expect(lp, LinearProgram, "solve", "a LinearProgram")
     # Substitute every variable by non-negative ones: standard column k
     # stands for sign[k] * (x[var[k]] - base[var[k]]), and a free variable
     # becomes the difference of two columns.

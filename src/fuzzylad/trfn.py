@@ -20,7 +20,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _expect, _items
 
 __all__ = [
     "TrFN",
@@ -46,8 +46,13 @@ DEFAULT_TIE_TOL = 1e-9
 
 
 def _float(value, what: str) -> float:
-    """``value`` as a float, perhaps not finite; a ValidationError naming ``what`` otherwise."""
+    """``value`` as a float, perhaps not finite; a ValidationError naming ``what`` otherwise.
+
+    A bool is refused: it is not a number, as problem files already hold.
+    """
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)
         return float(value)
     except OverflowError as exc:
         raise ValidationError(f"{what} does not fit in a float") from exc
@@ -92,9 +97,9 @@ class TrFN:
         return f"T({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-def _trfns(values, what: str = "utility") -> tuple[TrFN, ...]:
-    """``values`` as a tuple of TrFNs; a ValidationError naming entry ``what k`` otherwise."""
-    values = tuple(values)
+def _trfns(values, where: str, what: str = "utility") -> tuple[TrFN, ...]:
+    """``values`` as a tuple of TrFNs; a refusal names ``where``, or entry ``what k``."""
+    values = _items(values, where)
     for k, t in enumerate(values):
         if not isinstance(t, TrFN):
             raise ValidationError(f"{what} {k + 1} is not a trapezoidal number")
@@ -108,11 +113,15 @@ def crisp(x: float) -> TrFN:
 
 def add(t1: TrFN, t2: TrFN) -> TrFN:
     """Componentwise sum."""
+    _expect(t1, TrFN, "add", "a trapezoidal number")
+    _expect(t2, TrFN, "add", "a trapezoidal number")
     return TrFN(t1.a + t2.a, t1.b + t2.b, t1.c + t2.c, t1.d + t2.d)
 
 
 def sub(t1: TrFN, t2: TrFN) -> TrFN:
     """Fuzzy difference: supports widen, ``(a1-d2, b1-c2, c1-b2, d1-a2)``."""
+    _expect(t1, TrFN, "sub", "a trapezoidal number")
+    _expect(t2, TrFN, "sub", "a trapezoidal number")
     return TrFN(t1.a - t2.d, t1.b - t2.c, t1.c - t2.b, t1.d - t2.a)
 
 
@@ -121,10 +130,12 @@ def scale(r: float, t: TrFN) -> TrFN:
     r = _real(r, "scale factor")
     if r <= 0.0:
         raise ValidationError(f"scale factor must be a positive real, got {r}")
+    _expect(t, TrFN, "scale", "a trapezoidal number")
     return TrFN(r * t.a, r * t.b, r * t.c, r * t.d)
 
 
 def _require_positive(t: TrFN, op: str) -> None:
+    _expect(t, TrFN, op, "a trapezoidal number")
     if t.a <= 0.0:
         raise ValidationError(f"{op} requires strictly positive components, got {t}")
 
@@ -138,6 +149,7 @@ def mul(t1: TrFN, t2: TrFN) -> TrFN:
 
 def negate(t: TrFN) -> TrFN:
     """Standard negation ``(1-d, 1-c, 1-b, 1-a)``; an involution."""
+    _expect(t, TrFN, "negate", "a trapezoidal number")
     return TrFN(1.0 - t.d, 1.0 - t.c, 1.0 - t.b, 1.0 - t.a)
 
 
@@ -149,6 +161,8 @@ def invert(t: TrFN) -> TrFN:
 
 def distance(t1: TrFN, t2: TrFN) -> float:
     """Mean absolute componentwise distance (normalized L1)."""
+    _expect(t1, TrFN, "distance", "a trapezoidal number")
+    _expect(t2, TrFN, "distance", "a trapezoidal number")
     return (
         abs(t1.a - t2.a) + abs(t1.b - t2.b) + abs(t1.c - t2.c) + abs(t1.d - t2.d)
     ) / 4.0
@@ -185,6 +199,8 @@ DEFAULT_MAG_WEIGHTS = MagWeights()
 
 def magnitude(t: TrFN, weights: MagWeights = DEFAULT_MAG_WEIGHTS) -> float:
     """Scalar magnitude ``w1*(a+d) + w2*(b+c)`` used for ranking."""
+    _expect(t, TrFN, "magnitude", "a trapezoidal number")
+    _expect(weights, MagWeights, "magnitude", "MagWeights")
     return weights.w1 * (t.a + t.d) + weights.w2 * (t.b + t.c)
 
 
@@ -222,10 +238,11 @@ def rank(
     preserved, so appending a duplicate never reshuffles existing entries.
     Adjacent magnitudes closer than ``tie_tol`` fall into the same group.
     """
-    values = _trfns(values, "rank: value")
+    values = _trfns(values, "rank", "rank: value")
     if not values:
         raise ValidationError("cannot rank an empty sequence")
-    if not (isinstance(tie_tol, numbers.Real) and tie_tol >= 0.0):
+    _expect(weights, MagWeights, "rank", "MagWeights")
+    if isinstance(tie_tol, bool) or not (isinstance(tie_tol, numbers.Real) and tie_tol >= 0.0):
         raise ValidationError(f"tie tolerance must be non-negative, got {tie_tol}")
     mags = tuple(magnitude(t, weights) for t in values)
     order = sorted(range(len(values)), key=lambda i: (-mags[i], i))

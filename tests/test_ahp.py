@@ -100,7 +100,7 @@ class TestProblemValidation:
 
     def test_magnitude_weights_must_be_mag_weights(self, portfolio):
         with pytest.raises(
-            ValidationError, match="^magnitude weights must be MagWeights, got str$"
+            ValidationError, match="^AhpProblem: expected MagWeights, got str$"
         ):
             AhpProblem(
                 criteria_weights=portfolio["criteria_weights"],

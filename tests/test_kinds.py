@@ -3,21 +3,26 @@
 Each case calls one function on one kind of relation.  An accepted call
 must equal, bit for bit, the explicit path through the additive image that
 it stands for; a refused call raises ValidationError naming the kind it
-expected.  The qsigma label is refused as a model on either kind.
+expected.  The qsigma label is refused as a model on either kind.  Every
+other public callable refuses an argument of the wrong type in the same way.
 """
 
+import inspect
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import fuzzylad
 from fuzzylad import (
     AhpProblem,
     GroupWeights,
     Model,
     NotConsistentError,
+    ParseError,
     TrFN,
+    TrFPR,
     ValidationError,
     aggregate_relations,
     amm_weights,
@@ -33,6 +38,8 @@ from fuzzylad import (
     from_utilities,
     gmm_weights,
     load_problem,
+    magnitude,
+    rank,
     to_additive,
     to_multiplicative,
 )
@@ -183,6 +190,61 @@ def test_each_door_refuses_what_is_not_a_relation(door):
     with pytest.raises(ValidationError) as info:
         call()
     assert str(info.value) == f"{checker}: expected a preference relation, got {got}"
+
+
+# Every public callable but the exception classes and the two Enums, whose
+# constructors raise ValueError by the Enum protocol.
+SWEPT = [
+    name
+    for name in fuzzylad.__all__
+    if callable(obj := getattr(fuzzylad, name))
+    and not (isinstance(obj, type) and issubclass(obj, Exception))
+    and name not in ("Model", "LpStatus")
+]
+
+
+@pytest.mark.parametrize("filler", [5, object()], ids=["int", "object"])
+@pytest.mark.parametrize("name", SWEPT)
+def test_each_public_callable_returns_or_refuses_a_wrong_argument_type(name, filler):
+    function = getattr(fuzzylad, name)
+    required = [
+        p
+        for p in inspect.signature(function).parameters.values()
+        if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+    try:
+        function(*[filler] * len(required))
+    except (ValidationError, ParseError):
+        pass
+
+
+# Wrong types the sweep cannot reach, because an earlier argument's refusal
+# comes first when every argument is wrong; each call takes a relation.
+BEHIND_A_VALID_ARGUMENT = {
+    "evaluate_objective": (
+        lambda x: evaluate_objective(x, 5), "evaluate_objective: expected a sequence, got int"
+    ),
+    "from_utilities": (
+        lambda x: from_utilities(5, x.neutral), "from_utilities: expected a sequence, got int"
+    ),
+    "aggregate_relations": (
+        lambda x: aggregate_relations([x], 5), "group weights: expected a sequence, got int"
+    ),
+    "AhpProblem": (
+        lambda x: AhpProblem((1.0,), 5, SIGMA), "criteria: expected a sequence, got int"
+    ),
+    "rank": (lambda x: rank(UTILITIES, 5), "rank: expected MagWeights, got int"),
+    "magnitude": (lambda x: magnitude(SIGMA, 5), "magnitude: expected MagWeights, got int"),
+    "TrFPR": (lambda x: TrFPR([5], x.neutral), "TrFPR: expected a sequence, got int"),
+}
+
+
+@pytest.mark.parametrize("door", list(BEHIND_A_VALID_ARGUMENT))
+def test_a_wrong_type_behind_a_valid_argument_is_refused(door):
+    call, message = BEHIND_A_VALID_ARGUMENT[door]
+    with pytest.raises(ValidationError) as info:
+        call(relation("additive"))
+    assert str(info.value) == message
 
 
 def test_from_utilities_refuses_what_is_not_a_neutral_element():

@@ -259,7 +259,8 @@ class TestBuildLp:
         assert build_lp(x, Model.P).num_vars == 4 * 15 + 4 * 15 * 15
 
     def test_target_must_be_a_trapezoid(self, base_relation):
-        with pytest.raises(ValidationError, match="target must be a trapezoidal number$"):
+        refusal = "^sigma: expected a trapezoidal number, got tuple$"
+        with pytest.raises(ValidationError, match=refusal):
             build_lp(base_relation, Model.PSIGMA, (0.8, 0.9, 1.1, 1.2))
 
     def test_nonpositive_target_is_rejected(self, base_relation):

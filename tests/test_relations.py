@@ -44,7 +44,7 @@ class TestNeutralElement:
 
     def test_value_must_be_a_trapezoid(self):
         with pytest.raises(
-            ValidationError, match="^neutral element must be a trapezoidal number, got str$"
+            ValidationError, match="^NeutralElement: expected a trapezoidal number, got str$"
         ):
             NeutralElement("x")
 
@@ -299,8 +299,9 @@ class TestScaleMap:
             (phi_inv, 10**400, "phi_inv argument y does not fit in a float"),
             (phi, "x", "phi argument x='x' is not a real number"),
             (phi_inv, None, "phi_inv argument y=None is not a real number"),
+            (phi, True, "phi argument x=True is not a real number"),
         ],
-        ids=["phi-huge", "phi_inv-huge", "phi-text", "phi_inv-none"],
+        ids=["phi-huge", "phi_inv-huge", "phi-text", "phi_inv-none", "phi-bool"],
     )
     def test_values_that_are_no_float_are_rejected_naming_the_function(self, fn, value, message):
         with pytest.raises(ValidationError) as info:
@@ -389,7 +390,7 @@ class TestConsistency:
         assert dataclasses.replace(report, tol=0.2).consistent
         assert not dataclasses.replace(report, tol=0.2, max_violation=0.3).consistent
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12, "x", None])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12, "x", None, True])
     def test_tolerance_must_be_finite_and_non_negative(self, base_relation, ratio_relation, tol):
         with pytest.raises(ValidationError, match="finite and non-negative"):
             check_consistency(base_relation, tol)

@@ -71,9 +71,14 @@ class TestConstruction:
             (lambda: GroupWeights((HUGE,)), r"group weights: weight 1 does not fit in a float"),
             (lambda: GroupWeights(("x",)), r"group weights: weight 1='x' is not a real number"),
             (lambda: scale(HUGE, TrFN(1, 2, 3, 4)), r"scale factor does not fit in a float"),
+            (lambda: TrFN(False, 0, 0, True), r"component a=False is not a real number"),
+            (lambda: MagWeights(0.25, True), r"magnitude weight w2=True is not a real number"),
+            (lambda: GroupWeights((True,)), r"group weights: weight 1=True is not a real number"),
+            (lambda: scale(True, TrFN(1, 2, 3, 4)), r"scale factor=True is not a real number"),
         ],
         ids=["trfn-text", "trfn-nan", "trfn-huge", "trfn-negative-huge", "mag-huge", "mag-text",
-             "group-huge", "group-text", "scale-huge"],
+             "group-huge", "group-text", "scale-huge", "trfn-bool", "mag-bool", "group-bool",
+             "scale-bool"],
     )
     def test_a_value_no_float_holds_is_refused_naming_its_field(self, build, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -281,7 +286,7 @@ class TestRanking:
         ranking = rank(values, tie_tol=1e-9)
         assert ranking.groups == ((1,), (0,))
 
-    @pytest.mark.parametrize("tie_tol", [-1e-9, float("nan"), "x", None])
+    @pytest.mark.parametrize("tie_tol", [-1e-9, float("nan"), "x", None, True])
     def test_tie_tolerance_must_be_non_negative(self, tie_tol):
         values = (TrFN(0.5, 0.5, 0.5, 0.5), TrFN(0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValidationError, match="tie tolerance must be non-negative"):
