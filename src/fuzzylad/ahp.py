@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _expect, located
-from .group import _check_group, combine_utilities
-from .lad import UtilityVector, _validate_sigma, derive_weights, evaluate_objective
+from .group import _check_group, weighted_sum
+from .lad import UtilityVector, _utilities, _validate_sigma, derive_weights, evaluate_objective
 from .relations import TrFPR, TrMPR, _require_kind
 from .trfn import DEFAULT_MAG_WEIGHTS, MagWeights, Ranking, TrFN, rank
 
@@ -72,7 +72,7 @@ def run_ahp(problem: AhpProblem) -> AhpResult:
     local: list[UtilityVector] = []
     for k, y in enumerate(problem.matrices):
         local.append(located(f"criterion {k + 1}", derive_weights, y, problem.sigma))
-    global_weights = combine_utilities(problem.criteria_weights, local)
+    global_weights = _utilities(weighted_sum(problem.criteria_weights, local), local[0].model)
     return AhpResult(tuple(local), global_weights, rank(global_weights, problem.mag_weights))
 
 

@@ -20,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, _expect, _items
-from .lad import Model, UtilityVector, _utilities, derive_utility, evaluate_objective
+from .lad import Model, UtilityVector, _scored, derive_utility
 from .relations import TrFPR, _bounds, _require_kind
-from .trfn import TrFN, _real
+from .trfn import _real
 
 __all__ = ["GroupWeights", "BoundsReport", "aggregate_relations", "aggregate_utilities", "verify_bounds"]
 
@@ -60,20 +60,12 @@ def _check_group(members, weights, group: str, cls: type, name: str) -> tuple:
     return members, weights
 
 
-def weighted_sum(weights: Sequence[float], arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum_k weights[k] * arrays[k]``, accumulated in order from zero."""
-    total = np.zeros_like(arrays[0])
-    for w, part in zip(weights, arrays):
-        total = total + w * part
+def weighted_sum(weights: Sequence[float], members: Sequence) -> np.ndarray:
+    """``sum_k weights[k] * members[k].array``, accumulated in order from zero."""
+    total = np.zeros_like(members[0].array)
+    for w, member in zip(weights, members):
+        total = total + w * member.array
     return total
-
-
-def combine_utilities(
-    weights: Sequence[float], vectors: Sequence[UtilityVector]
-) -> tuple[TrFN, ...]:
-    """Componentwise ``sum_k weights[k] * vectors[k]``, finished for the first vector's model."""
-    parts = [np.array([u.components for u in vec.utilities]) for vec in vectors]
-    return _utilities(weighted_sum(weights, parts), vectors[0].model)
 
 
 class GroupWeights(tuple):
@@ -93,7 +85,7 @@ def aggregate_relations(relations: Sequence[TrFPR], weights: Sequence[float]) ->
     entrywise combination mathematically but stay bit-exactly reciprocal.
     """
     relations, weights = _check_group(relations, weights, "group", TrFPR, "relation")
-    combined = weighted_sum(weights, [rel.array for rel in relations])
+    combined = weighted_sum(weights, relations)
     return TrFPR.from_upper(combined, relations[0].neutral)
 
 
@@ -117,9 +109,7 @@ def aggregate_utilities(
         if vec.model is not first.model:
             got, want = vec.model.value, first.model.value
             raise ValidationError(f"vector {e + 1} has model {got}, expected {want}")
-    combined = combine_utilities(weights, vectors)
-    objective = evaluate_objective(matrix, combined)
-    return UtilityVector(combined, objective, first.model)
+    return _scored(matrix, weighted_sum(weights, vectors), first.model)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .relations import (
     TrFPR,
     TrMPR,
     _distance,
+    _first,
     _Relation,
     _require_kind,
     check_consistency,
@@ -105,16 +106,20 @@ class UtilityVector:
             raise ValidationError(f"objective must be non-negative, got {self.objective}")
         _expect(self.model, Model, "UtilityVector", "a Model")
         lower_a, upper_d = self.model.bounds
-        for k, u in enumerate(self.utilities):
-            if u.a < lower_a:
-                raise ValidationError(
-                    f"model {self.model.value} requires non-negative utilities, "
-                    f"utility {k + 1} = {u}"
-                )
-            if u.d > upper_d:
-                raise ValidationError(
-                    f"model {self.model.value} keeps utilities inside [0, 1], utility {k + 1} = {u}"
-                )
+        comps = self.array
+        low = comps[:, 0] < lower_a
+        hit = _first(low | (comps[:, 3] > upper_d))
+        if hit:
+            (k,) = hit
+            rule = "requires non-negative utilities" if low[k] else "keeps utilities inside [0, 1]"
+            raise ValidationError(
+                f"model {self.model.value} {rule}, utility {k + 1} = {self.utilities[k]}"
+            )
+
+    @property
+    def array(self) -> np.ndarray:
+        """The components as an ``(n, 4)`` float64 array, built from the utilities on each use."""
+        return np.array([t.components for t in self.utilities])
 
     @property
     def n(self) -> int:
@@ -237,6 +242,14 @@ def _utilities(comps: np.ndarray, model: Model) -> tuple[TrFN, ...]:
     return tuple(TrFN(*row) for row in comps.tolist())
 
 
+def _scored(
+    x: TrFPR | TrMPR, comps: np.ndarray, model: Model, label: Model | None = None
+) -> UtilityVector:
+    """``comps`` finished for ``model`` and scored on ``x``, labelled ``label`` or ``model``."""
+    utilities = _utilities(comps, model)
+    return UtilityVector(utilities, evaluate_objective(x, utilities), label or model)
+
+
 def derive_utility(
     x: TrFPR | TrMPR, model: Model = Model.PUNIT, sigma: TrFN | None = None
 ) -> UtilityVector:
@@ -254,15 +267,14 @@ def derive_utility(
     if solution.status is not LpStatus.OPTIMAL:
         status = solution.status.value
         raise ArithmeticError(f"the solver read the deviation LP {status}; each has an optimum")
-    utilities = _utilities(_snap(solution.x[: 4 * x.n].reshape(x.n, 4)), model)
-    recomputed = evaluate_objective(x, utilities)
-    bound = OBJECTIVE_AGREEMENT_TOL * max(1.0, recomputed)
-    if abs(recomputed - solution.objective_value) > bound:
+    result = _scored(x, _snap(solution.x[: 4 * x.n].reshape(x.n, 4)), model, label)
+    bound = OBJECTIVE_AGREEMENT_TOL * max(1.0, result.objective)
+    if abs(result.objective - solution.objective_value) > bound:
         raise ArithmeticError(
             f"LP optimum {solution.objective_value} and recomputed deviation "
-            f"{recomputed} disagree beyond {bound}"
+            f"{result.objective} disagree beyond {bound}"
         )
-    return UtilityVector(utilities, recomputed, label)
+    return result
 
 
 def shift_normalize(u: UtilityVector) -> UtilityVector:
@@ -275,7 +287,7 @@ def shift_normalize(u: UtilityVector) -> UtilityVector:
     _expect(u, UtilityVector, "shift_normalize", "a UtilityVector")
     if u.model is not Model.P0:
         raise ValidationError(f"shift normalization applies to model p0, got {u.model.value}")
-    comps = np.array([t.components for t in u.utilities])
+    comps = u.array
     shifted = comps + max(0.0, -comps[:, 0].min())
     return UtilityVector(_utilities(shifted, Model.P), u.objective, Model.P)
 
@@ -310,7 +322,4 @@ def fast_path_consistent(
             f"fast path needs a consistent relation; {report.describe()}"
         )
     x = _additive(x, "fast_path_consistent")
-
-    utilities = _utilities(_snap(x.array[:, k]), Model.P)
-    objective = evaluate_objective(x, utilities)
-    return UtilityVector(utilities, objective, Model.P)
+    return _scored(x, _snap(x.array[:, k]), Model.P)

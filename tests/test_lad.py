@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -557,6 +558,29 @@ class TestUtilityVectorInvariants:
     def test_model_must_be_a_model(self):
         with pytest.raises(ValidationError, match="^UtilityVector: expected a Model, got str$"):
             UtilityVector((TrFN(0.1, 0.2, 0.3, 0.4),), 0.0, "p")
+
+    def test_a_bound_refusal_names_the_first_offending_utility(self):
+        utilities = (TrFN(0.1, 0.2, 0.3, 0.4), TrFN(0.1, 0.2, 0.3, 1.4), TrFN(-0.1, 0, 0, 0))
+        with pytest.raises(ValidationError) as info:
+            UtilityVector(utilities, 0.0, Model.PUNIT)
+        assert str(info.value) == (
+            "model punit keeps utilities inside [0, 1], utility 2 = T(0.1, 0.2, 0.3, 1.4)"
+        )
+
+    def test_the_lower_bound_refusal_wins_on_one_utility(self):
+        with pytest.raises(ValidationError) as info:
+            UtilityVector((TrFN(-0.1, 0.2, 0.3, 1.4),), 0.0, Model.PUNIT)
+        assert str(info.value) == (
+            "model punit requires non-negative utilities, utility 1 = T(-0.1, 0.2, 0.3, 1.4)"
+        )
+
+    def test_array_holds_the_components_row_by_row(self):
+        u = UtilityVector((TrFN(0.1, 0.2, 0.3, 0.4), TrFN(0.0, 0.5, 0.5, 1.0)), 0.25, Model.PUNIT)
+        assert u.array.dtype == np.float64
+        assert u.array.tolist() == [[0.1, 0.2, 0.3, 0.4], [0.0, 0.5, 0.5, 1.0]]
+        assert [f.name for f in fields(UtilityVector)] == ["utilities", "objective", "model"]
+        assert replace(u, objective=0.5) == UtilityVector(u.utilities, 0.5, Model.PUNIT)
+        assert hash(u) == hash(UtilityVector(u.utilities, 0.25, Model.PUNIT))
 
 
 @settings(max_examples=25, deadline=None)
