@@ -62,5 +62,9 @@ def _expect(value, types, where: str, noun: str):
 
 
 def _items(value, where: str) -> tuple:
-    """``tuple(value)``; a value that is not ``Iterable`` is refused as ``a sequence``."""
-    return tuple(_expect(value, Iterable, where, "a sequence"))
+    """``tuple(value)``; a value that is not ``Iterable`` is refused as ``a sequence``.
+
+    So is a 0-d array, which claims to be ``Iterable`` but raises when iterated.
+    """
+    iterable = () if getattr(value, "ndim", None) == 0 else Iterable
+    return tuple(_expect(value, iterable, where, "a sequence"))

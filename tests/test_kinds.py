@@ -12,6 +12,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fuzzylad
@@ -47,6 +48,7 @@ from fuzzylad import (
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SIGMA = TrFN(0.8, 0.9, 1.1, 1.2)
 UTILITIES = (TrFN(0.1, 0.2, 0.3, 0.4), TrFN(0.2, 0.3, 0.3, 0.5), TrFN(0.0, 0.1, 0.2, 0.2))
+ZERO_D = np.array(1.0)
 
 
 def relation(kind: str, name: str | None = None):
@@ -203,7 +205,7 @@ SWEPT = [
 ]
 
 
-@pytest.mark.parametrize("filler", [5, object()], ids=["int", "object"])
+@pytest.mark.parametrize("filler", [5, object(), ZERO_D], ids=["int", "object", "0-d-array"])
 @pytest.mark.parametrize("name", SWEPT)
 def test_each_public_callable_returns_or_refuses_a_wrong_argument_type(name, filler):
     function = getattr(fuzzylad, name)
@@ -236,6 +238,22 @@ BEHIND_A_VALID_ARGUMENT = {
     "rank": (lambda x: rank(UTILITIES, 5), "rank: expected MagWeights, got int"),
     "magnitude": (lambda x: magnitude(SIGMA, 5), "magnitude: expected MagWeights, got int"),
     "TrFPR": (lambda x: TrFPR([5], x.neutral), "TrFPR: expected a sequence, got int"),
+    # A 0-d array claims to be iterable, but iterating it raises.
+    "evaluate_objective-0-d-array": (
+        lambda x: evaluate_objective(x, ZERO_D),
+        "evaluate_objective: expected a sequence, got ndarray",
+    ),
+    "from_utilities-0-d-array": (
+        lambda x: from_utilities(ZERO_D, x.neutral),
+        "from_utilities: expected a sequence, got ndarray",
+    ),
+    "aggregate_relations-0-d-array": (
+        lambda x: aggregate_relations([x], ZERO_D),
+        "group weights: expected a sequence, got ndarray",
+    ),
+    "TrFPR-0-d-array": (
+        lambda x: TrFPR([ZERO_D], x.neutral), "TrFPR: expected a sequence, got ndarray"
+    ),
 }
 
 
