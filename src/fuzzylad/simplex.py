@@ -162,15 +162,10 @@ def _iterate(T, basis, iters_left):
     reduced = T[-1, :-1]
     rhs = T[:m, -1]
     while True:
-        if bland:
-            negatives = np.flatnonzero(reduced < -COST_TOL)
-            if negatives.size == 0:
-                return "optimal", pivots
-            col = int(negatives[0])
-        else:
-            col = int(reduced.argmin())
-            if reduced[col] >= -COST_TOL:
-                return "optimal", pivots
+        # Bland's rule takes the first negative reduced cost; with none, argmax gives 0.
+        col = int((reduced < -COST_TOL).argmax() if bland else reduced.argmin())
+        if reduced[col] >= -COST_TOL:
+            return "optimal", pivots
         column = T[:m, col]
         eligible = (column > PIVOT_TOL).nonzero()[0]
         if not eligible.size:
@@ -185,14 +180,12 @@ def _iterate(T, basis, iters_left):
         _pivot(T, row, col)
         basis[row] = col
         pivots += 1
-        if not bland:
-            if (objective := float(T[-1, -1])) > best_seen + 1e-12:
-                best_seen = objective
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled > BLAND_AFTER:
-                    bland = True
+        if (objective := float(T[-1, -1])) > best_seen + 1e-12:
+            best_seen = objective
+            stalled = 0
+        else:
+            stalled += 1
+        bland = bland or stalled > BLAND_AFTER
 
 
 def _check_feasible(
