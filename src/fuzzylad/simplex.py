@@ -8,7 +8,10 @@ handled by substitution, so the caller can state models naturally.
 The solver is sized for the deviation-minimization instances this package
 generates (tens of variables, a few hundred rows): everything stays in one
 dense tableau and is strictly deterministic, so repeated solves of the same
-program give bit-identical answers.  The entering rule is steepest
+program give bit-identical answers.  No BLAS result reaches an answer: the
+bound shift and the objective are sums in a fixed order (``np.cumsum`` and
+``math.fsum``), so the answer's bits do not depend on which kernel OpenBLAS
+picks at run time.  The entering rule is steepest
 coefficient (Dantzig) and switches permanently to Bland's smallest-index
 rule once the objective has stalled, which breaks degenerate cycles; the
 leaving rule always resolves ratio ties toward the smallest basis index.
@@ -34,6 +37,7 @@ is the number of non-improving pivots in a row before Bland's rule takes over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -191,6 +195,11 @@ def _iterate(T, basis, iters_left):
 def _check_feasible(
     lp: LinearProgram, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale: float
 ) -> None:
+    """Refuse an answer that violates a row or a bound by more than ten times the tolerance.
+
+    The row products go through BLAS, whose rounding depends on the kernel,
+    but they feed only this tolerance test and never reach the answer.
+    """
     worst = max(
         float(np.abs(lp.a_eq @ x - lp.b_eq).max(initial=0.0)),
         float((lp.a_ub @ x - lp.b_ub).max(initial=0.0)),
@@ -254,7 +263,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     n_ub = lp.a_ub.shape[0]
     m_ub = n_ub + boxed.size
     m = m_ub + lp.a_eq.shape[0]
-    b = np.concatenate([lp.b_ub - lp.a_ub @ base, (hi - lo)[boxed], lp.b_eq - lp.a_eq @ base])
+    shift_ub, shift_eq = (np.cumsum(a * base, axis=1)[:, -1] for a in (lp.a_ub, lp.a_eq))
+    b = np.concatenate([lp.b_ub - shift_ub, (hi - lo)[boxed], lp.b_eq - shift_eq])
     negated = b < 0
     flip = np.where(negated, -1.0, 1.0)
     # Rows with an untouched slack start with it in the basis; every other
@@ -321,4 +331,4 @@ def solve(lp: LinearProgram) -> LpSolution:
     # the additions cannot change a bit of the result.
     np.add.at(x, var, sign * x_std[:n_std])
     _check_feasible(lp, x, lo, hi, scale)
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), total_pivots)
+    return LpSolution(LpStatus.OPTIMAL, x, math.fsum((lp.c * x).tolist()), total_pivots)

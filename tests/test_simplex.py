@@ -67,11 +67,12 @@ def random_boxed_lp(rng):
     hi = lo + rng.uniform(0.5, 3.0, size=n)
     center = (lo + hi) / 2.0
     a_ub = rng.normal(size=(m_ub, n))
-    b_ub = a_ub @ center + rng.uniform(0.1, 2.0, size=m_ub)
+    # Fixed-order sums, so the programs' data do not depend on the BLAS kernel.
+    b_ub = np.cumsum(a_ub * center, axis=1)[:, -1] + rng.uniform(0.1, 2.0, size=m_ub)
     c = rng.normal(size=n)
     if rng.random() < 0.3:
         a_eq = rng.normal(size=(1, n))
-        b_eq = a_eq @ center
+        b_eq = np.cumsum(a_eq * center, axis=1)[:, -1]
     else:
         a_eq = np.zeros((0, n))
         b_eq = np.zeros(0)
