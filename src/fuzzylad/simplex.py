@@ -147,7 +147,10 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     pivot_row = T[row]
     cols = pivot_row.nonzero()[0]
     values = pivot_row[cols] / pivot_row[col]
-    Tt[cols] -= values[:, None] * Tt[col]
+    # Not ``Tt[cols] -= ...``, which holds a third (k, m + 1) temporary.
+    P = values[:, None] * Tt[col]
+    np.subtract(Tt[cols], P, out=P)
+    Tt[cols] = P
     Tt[col] = 0.0
     pivot_row[cols] = values
 
