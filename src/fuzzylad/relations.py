@@ -83,7 +83,8 @@ def _bounds(scale: int | None) -> tuple[float, float, str]:
 
 def _distance(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """``trfn.distance`` over the last axis, summed in the same order."""
-    d = np.abs(t1 - t2)
+    d = t1 - t2
+    np.abs(d, out=d)
     return (d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]) / 4.0
 
 
@@ -382,7 +383,7 @@ def _scan_triples(relation, tol: float, where: str) -> ConsistencyReport:
     # maximal triple of any shape.
     band = max(1e-15, 1e-9 * max_violation)
     near = violation >= max_violation - band
-    i, j, k = np.indices(violation.shape)
+    i, j, k = np.ogrid[: len(array), : len(array), : len(array)]
     worst = _first(near & (i != j) & (j != k) & (i != k)) or _first(near)
     return ConsistencyReport(max_violation, worst, tol)
 

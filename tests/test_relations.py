@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,6 +448,18 @@ class TestConsistency:
             assert report.max_violation >= 0.02 - 1e-9
             hits += 1
         assert hits >= N_TRIALS // 2
+
+    def test_scan_at_n_100_stays_under_80_mb(self):
+        # Each (n, n, n, 4) array of the scan takes 32 MB at n = 100.
+        x = rand_trfpr(np.random.default_rng(100), 100)
+        tracemalloc.start()
+        try:
+            report = check_consistency(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.consistent
+        assert peak < 80e6
 
 
 class TestFromUtilities:
