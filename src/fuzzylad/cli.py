@@ -12,7 +12,8 @@ Each command builds one result: a payload, and text lines formatted from
 the payload's own values.  ``main`` prints it once, as JSON under
 ``--json`` and as the text otherwise.
 
-Exit codes: 0 success, 1 parse error or solver failure, 2 validation failure.
+Exit codes: 0 success, 1 parse error, solver failure or memory exhaustion, 2
+validation failure.
 """
 
 from __future__ import annotations
@@ -253,6 +254,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (ParseError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: {args.file}: out of memory", file=sys.stderr)
         return 1
 
 

@@ -522,6 +522,29 @@ class TestExitCodes:
         # Commands that solve no LP still take the file.
         assert run_cli(capsys, "consistency", str(path))[0] == 0
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_memory_exhaustion_exits_1_with_one_located_line(self, tmp_path):
+        # The child caps its own address space 64 MB above its size once the
+        # package is imported; the triple scan of n = 150 allocates (n, n, n, 4)
+        # arrays of 108 MB each, so the command runs out of memory there.
+        path = tmp_path / "large.json"
+        save_problem(path, rand_consistent_trfpr(np.random.default_rng(44), 150))
+        child = (
+            "import resource, sys\n"
+            "from fuzzylad.cli import main\n"
+            "pages = int(open('/proc/self/statm').read().split()[0])\n"
+            "cap = pages * resource.getpagesize() + 64 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, resource.RLIM_INFINITY))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        path_env = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, "-c", child, "consistency", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path_env},
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: {path}: out of memory\n"
+
     @pytest.mark.parametrize(
         "command, path, where",
         [("utility", ADDITIVE, "n = 3, model punit"),
