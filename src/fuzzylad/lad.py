@@ -21,10 +21,10 @@ Model variants differ only in side constraints on the utility components:
   one through its additive image; ``derive_utility`` sets this label on
   such a result.
 
-Every number a result carries is computed without BLAS or LAPACK: sums run
-in a fixed order (``np.cumsum``, as in ``evaluate_objective``, or
-``math.fsum``), so a result's bits do not depend on the kernel OpenBLAS
-picks at run time.
+Every number a result carries is computed without BLAS or LAPACK: each sum
+runs in a fixed order (``np.cumsum``, as in ``evaluate_objective``) or is
+exactly rounded (``math.fsum``), so a result's bits do not depend on the
+kernel OpenBLAS picks at run time.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ The solver is sized for the deviation-minimization instances this package
 generates (tens of variables, a few hundred rows): everything stays in one
 dense tableau and is strictly deterministic, so repeated solves of the same
 program give bit-identical answers.  No BLAS result reaches an answer: the
-bound shift and the objective are sums in a fixed order (``np.cumsum`` and
-``math.fsum``), so the answer's bits do not depend on which kernel OpenBLAS
-picks at run time.  The entering rule is steepest
+bound shift is summed in a fixed order (``np.cumsum``) and the objective
+exactly rounded (``math.fsum``), so the answer's bits do not depend on which
+kernel OpenBLAS picks at run time.  The entering rule is steepest
 coefficient (Dantzig) and switches permanently to Bland's smallest-index
 rule once the objective has stalled, which breaks degenerate cycles; the
 leaving rule always resolves ratio ties toward the smallest basis index.
@@ -198,7 +198,7 @@ def _iterate(T, basis, iters_left):
 def _check_feasible(
     lp: LinearProgram, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale: float
 ) -> None:
-    """Refuse an answer that violates a row or a bound by more than ten times the tolerance.
+    """Refuse an answer that violates a row or a bound by more than ``10 * FEAS_TOL * scale``.
 
     The row products go through BLAS, whose rounding depends on the kernel,
     but they feed only this tolerance test and never reach the answer.
